@@ -8,7 +8,7 @@ enters here; noise is always an explicitly passed constant array.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class Tensor:
 
 def constant(value) -> Tensor:
     return Tensor(value)
-
-
-def _as_array(x):
-    return x.value if isinstance(x, Tensor) else np.atleast_2d(np.asarray(x, dtype=np.float64))
 
 
 def backward(result: Tensor) -> None:

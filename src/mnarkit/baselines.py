@@ -1,5 +1,6 @@
-"""Reference imputers: feature-mean fill, the alpha=0 degenerate model
-(mask decoder switched off, MAR-style), and the serial selection variant."""
+"""The method table: each method name maps to its ``ModelConfig``
+overrides, or to ``None`` for feature-mean fill, the one method without
+the model."""
 
 from __future__ import annotations
 
@@ -11,7 +12,27 @@ from .errors import DegenerateFeatureError, DomainError
 from .masking import IncompleteMatrix
 from . import model as core
 
-BASELINE_KINDS = ("mean", "mar_alpha0", "serial_selection")
+# The first entry is the full model; the command line defaults to it.
+METHODS = {
+    "conjunction": {},
+    # the mask decoder switched off (MAR-style)
+    "mar_alpha0": {"alpha": 0.0},
+    # Same encoder/data decoder as the parallel model; mask probabilities
+    # come from one dense+sigmoid layer on the decoded data mean. The
+    # mask-likelihood temperature alpha is pinned to 1: the temperature is a
+    # knob of the parallel model, and the reference selection model is the
+    # standard untempered factorization.
+    "serial_selection": {"structure": "serial", "alpha": 1.0},
+    "mean": None,
+}
+
+
+def method_config(name: str, config: core.ModelConfig) -> core.ModelConfig | None:
+    """``config`` with the named method's overrides; ``None`` for ``mean``."""
+    if name not in METHODS:
+        raise DomainError(f"unknown method {name!r}")
+    overrides = METHODS[name]
+    return None if overrides is None else replace(config, **overrides)
 
 
 def mean_impute(data: IncompleteMatrix) -> np.ndarray:
@@ -25,33 +46,11 @@ def mean_impute(data: IncompleteMatrix) -> np.ndarray:
     return out
 
 
-def train_serial_selection(dataset: IncompleteMatrix, config: core.ModelConfig):
-    """Same encoder/data decoder as the parallel model; mask probabilities
-    come from one dense+sigmoid layer on the decoded data mean.
-
-    The mask-likelihood temperature alpha is pinned to 1: the temperature is
-    a knob of the parallel model, and the reference selection model is the
-    standard untempered factorization.
-    """
-    return core.train(dataset, replace(config, structure="serial", alpha=1.0))
-
-
 def run_baseline(kind: str, dataset: IncompleteMatrix, config: core.ModelConfig) -> core.ImputationResult:
-    """Train (where needed) and impute with the named baseline."""
-    if kind == "mean":
-        completed = mean_impute(dataset)
-        return core.ImputationResult(completed=completed,
+    """Train (where needed) and impute with the named method."""
+    cfg = method_config(kind, config)
+    if cfg is None:
+        return core.ImputationResult(completed=mean_impute(dataset),
                                      prob_mask=np.full(dataset.shape, 0.5))
-    if kind == "mar_alpha0":
-        cfg = replace(config, alpha=0.0)
-        params, _ = core.train(dataset, cfg)
-        result = core.impute(dataset, params, cfg)
-        # the mask decoder carries no training signal at alpha=0; report an
-        # uninformative probabilistic mask
-        return core.ImputationResult(completed=result.completed,
-                                     prob_mask=np.full(dataset.shape, 0.5))
-    if kind == "serial_selection":
-        params, _ = train_serial_selection(dataset, config)
-        return core.impute(dataset, params,
-                           replace(config, structure="serial", alpha=1.0))
-    raise DomainError(f"unknown baseline kind {kind!r}")
+    params, _ = core.train(dataset, cfg)
+    return core.impute(dataset, params, cfg)

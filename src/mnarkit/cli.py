@@ -17,11 +17,9 @@ import numpy as np
 
 from . import baselines, evaluate, io, model as core, synth
 from .errors import MnarkitError
-from .masking import IncompleteMatrix, compose_observed, feature_stats, standardize_complete
+from .masking import compose_observed, feature_stats, standardize_complete
 
 MODEL_KEYS = {f.name for f in core.ModelConfig.__dataclass_fields__.values()}
-
-METHOD_CHOICES = ("conjunction", "mar_alpha0", "serial_selection", "mean")
 
 
 def _out_dir(args) -> str:
@@ -127,8 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit the imputer or a baseline, write a checkpoint")
     p.add_argument("--data", required=True, help="observed-matrix CSV")
     p.add_argument("--out", default="out_train")
-    p.add_argument("--method", choices=("conjunction", "mar_alpha0", "serial_selection"),
-                   default="conjunction")
+    model_methods = [m for m, overrides in baselines.METHODS.items() if overrides is not None]
+    p.add_argument("--method", choices=model_methods, default=model_methods[0])
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -154,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=float, default=0.7)
     p.add_argument("--n-runs", dest="n_runs", type=int, default=5)
     p.add_argument("--seeds", help="comma list; defaults to 0..n_runs-1")
-    p.add_argument("--methods", default="conjunction,mar_alpha0,serial_selection,mean")
+    p.add_argument("--methods", default=",".join(baselines.METHODS))
     p.add_argument("--missing-kind", dest="missing_kind", choices=synth.SELF_MASK_KINDS)
     p.add_argument("--missing-k", dest="missing_k", type=float)
     p.add_argument("--mcar-prob", dest="mcar_prob", type=float)
@@ -186,11 +184,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     out = _out_dir(args)
     file_cfg = _load_file_config(args)
-    config = _model_config(args, file_cfg)
-    if args.method == "mar_alpha0":
-        config = replace(config, alpha=0.0)
-    elif args.method == "serial_selection":
-        config = replace(config, structure="serial", alpha=1.0)
+    config = baselines.method_config(args.method, _model_config(args, file_cfg))
     data, _ = io.load_matrix_csv(args.data)
     params, trace = core.train(data, config)
     ckpt = os.path.join(out, "model.npz")
@@ -245,7 +239,7 @@ def cmd_bench(args) -> int:
     spec = _missing_spec(args, file_cfg)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
-        if m not in METHOD_CHOICES:
+        if m not in baselines.METHODS:
             raise MnarkitError(f"unknown method {m!r}")
     seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
              else list(range(args.n_runs)))

@@ -9,14 +9,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import baselines, model as core, synth
-from .errors import DomainError, MetricError
-from .masking import (IncompleteMatrix, compose_observed, feature_stats,
-                      standardize_complete)
+from .errors import DomainError, MetricError, MnarkitError
+from .masking import compose_observed, feature_stats, standardize_complete
 
 REPORT_COLUMNS = ("method", "setting", "metric", "mean", "stderr", "n_runs",
                   "runtime_s", "values")
-
-METHODS = ("conjunction", "mar_alpha0", "serial_selection", "mean")
 
 
 def mse_missing(truth: np.ndarray, imputed: np.ndarray, mask: np.ndarray) -> float:
@@ -117,21 +114,15 @@ class EvalReport:
                 w.writerow(row)
 
 
-def _impute_with(method: str, observed: IncompleteMatrix, config: core.ModelConfig):
-    if method == "conjunction":
-        params, _ = core.train(observed, config)
-        return core.impute(observed, params, config)
-    return baselines.run_baseline(method, observed, config)
-
-
 def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.MissingSpec,
                    methods, config: core.ModelConfig, n_runs: int = 5,
                    seeds=None, mask_threshold: float = 0.5) -> EvalReport:
     """Generate data, mask, standardize, train, impute and score per seed.
 
     Metrics are computed in standardized space; standardization statistics
-    come from the complete matrix before masking. Failed cells are recorded
-    as an ``error`` metric row rather than dropped.
+    come from the complete matrix before masking. A cell that fails with a
+    ``MnarkitError`` is recorded as an ``error`` metric row rather than
+    dropped; any other exception is a bug and propagates.
     """
     if seeds is None:
         seeds = list(range(n_runs))
@@ -158,8 +149,8 @@ def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.Missin
             cfg = replace(config, seed=seed)
             start = time.perf_counter()
             try:
-                result = _impute_with(method, observed, cfg)
-            except Exception as e:  # record, do not drop the cell
+                result = baselines.run_baseline(method, observed, cfg)
+            except MnarkitError as e:  # record, do not drop the cell
                 report.add(method, setting, f"error:seed={seed}:{type(e).__name__}", [np.nan])
                 continue
             runtimes[method] += time.perf_counter() - start
@@ -191,23 +182,3 @@ def score_external(truth: np.ndarray, completed: np.ndarray, mask: np.ndarray) -
     return {"rmse_missing": rmse_missing(truth, completed, mask),
             "mse_missing": mse_missing(truth, completed, mask)}
 
-
-def histogram_csv(path, data: IncompleteMatrix, bins: int = 20):
-    """Observed-vs-missing per-feature value histograms for external plotting.
-
-    Missing positions have no readable value, so the missing column counts
-    come from a caller-supplied complete matrix when available; here we only
-    export observed-entry histograms plus per-feature missing counts.
-    """
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["feature", "bin_left", "bin_right", "observed_count", "missing_count"])
-        for j in range(data.shape[1]):
-            col = data.values[data.mask[:, j] == 1, j]
-            n_missing = int((data.mask[:, j] == 0).sum())
-            if col.size == 0:
-                continue
-            counts, edges = np.histogram(col, bins=bins)
-            for b in range(bins):
-                w.writerow([j, repr(float(edges[b])), repr(float(edges[b + 1])), int(counts[b]),
-                            n_missing if b == 0 else 0])

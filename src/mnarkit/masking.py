@@ -132,10 +132,6 @@ def destandardize(data: IncompleteMatrix, stats: FeatureStats) -> IncompleteMatr
     return IncompleteMatrix(values, data.mask)
 
 
-def destandardize_complete(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64) * stats.std + stats.mean
-
-
 def standardize_complete(x: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (np.asarray(x, dtype=np.float64) - stats.mean) / stats.std
 

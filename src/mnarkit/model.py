@@ -11,7 +11,7 @@ dense+sigmoid head on the decoded data mean (selection-model baseline).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .errors import ConsistencyError, DomainError, NumericError, ShapeError
 from .masking import IncompleteMatrix, zero_impute
 from .synth import make_rng
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 ENCODER_VARIANTS = ("zero_impute", "set_function")
 STRUCTURES = ("parallel", "serial")
@@ -50,8 +50,16 @@ class ModelConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        if self.k_train < 1 or self.l_impute < 1:
-            raise DomainError("k_train and l_impute must be >= 1")
+        for name in ("latent_dim", "k_train", "l_impute", "batch_size", "trace_interval"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
+            raise DomainError(f"hidden_sizes must be non-empty and >= 1, got {self.hidden_sizes}")
+        if self.iterations < 0:
+            raise DomainError(f"iterations must be >= 0, got {self.iterations}")
+        for name in ("learning_rate", "mean_scale"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.alpha < 0:
             raise DomainError("alpha must be >= 0")
         if self.encoder not in ENCODER_VARIANTS:
@@ -102,16 +110,6 @@ class ParamBlocks:
 
     def copy(self) -> "ParamBlocks":
         return ParamBlocks({k: v.copy() for k, v in self._arrays.items()})
-
-    def block_slices(self, prefix: str):
-        """Flat-vector index ranges of all blocks whose name starts with prefix."""
-        pos = 0
-        spans = []
-        for k, a in self._arrays.items():
-            if k.startswith(prefix):
-                spans.append((pos, pos + a.size))
-            pos += a.size
-        return spans
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -259,13 +257,15 @@ def sample_latent(mean_z: Tensor, std_z: Tensor, k: int, noise=None, rng=None) -
 
 @dataclass
 class ImportanceWeightSet:
-    """Per-row, per-draw log-weights, their normalized form, and the four
-    additive log-components (for diagnostics and tests)."""
+    """Per-row, per-draw log-weights, their normalized form, the four
+    additive log-components (for diagnostics and tests), and the decoder
+    outputs they were computed from."""
 
     log_w: np.ndarray       # (n, k)
     normalized: np.ndarray  # rows sum to 1
     components: dict        # name -> (n, k)
     node: Tensor            # graph handle, shape (n, k)
+    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d); p_m is None at alpha=0
 
 
 def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
@@ -308,6 +308,7 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
         "neg_posterior": -posterior.value.reshape(n, k).copy(),
     }
     total = ad.sub(ad.add(data_term, prior), posterior)
+    p_m = None
     if alpha != 0.0:
         p_m = mask_probabilities(latent.z, mean_x, nodes, config)
         mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(m_rep, p_m), 1), alpha)
@@ -322,7 +323,9 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
         if not np.all(np.isfinite(comp)):
             raise NumericError(f"non-finite importance-weight component: {name}")
     return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w),
-                               components=components, node=node)
+                               components=components, node=node,
+                               decoded=(mean_x.value, std_x.value,
+                                        None if p_m is None else p_m.value))
 
 
 def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
@@ -406,18 +409,39 @@ class ImputationResult:
 
     completed: np.ndarray
     prob_mask: np.ndarray
-    draws: list | None = None
 
 
 def _forward_weights(chunk: IncompleteMatrix, nodes: dict, config: ModelConfig,
                      l_samples: int, rng):
-    """Forward pass for one row chunk: weights, decoded means/stds, mask probs."""
+    """Forward pass for one row chunk: weights, decoded means/stds, mask probs
+    (None at alpha=0)."""
     mean_z, std_z = encode(chunk, nodes, config)
     latent = sample_latent(mean_z, std_z, l_samples, rng=rng)
     weights = importance_log_weights(chunk, latent, nodes, config)
-    mean_x, std_x = decode_data(latent.z, nodes, config)
-    p_m = mask_probabilities(latent.z, mean_x, nodes, config)
-    return weights, mean_x.value, std_x.value, p_m.value
+    return (weights, *weights.decoded)
+
+
+def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
+                  rng, chunk_rows: int):
+    """One forward pass per row chunk of l_impute latent draws.
+
+    Yields (row slice, missing mask, normalized weights (rows, L), mean_x,
+    std_x, p_m), the last three shaped (rows, L, d) and p_m None at alpha=0.
+    The caller may draw from rng between chunks.
+    """
+    if params.n_features != data.shape[1]:
+        raise ConsistencyError(
+            f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
+    nodes = _nodes(params)
+    n, d = data.shape
+    L = config.l_impute
+    for lo in range(0, n, chunk_rows):
+        hi = min(lo + chunk_rows, n)
+        chunk = IncompleteMatrix(data.values[lo:hi], data.mask[lo:hi])
+        weights, mean_x, std_x, p_m = _forward_weights(chunk, nodes, config, L, rng)
+        shape = (hi - lo, L, d)
+        yield (slice(lo, hi), chunk.mask == 0, weights.normalized, mean_x.reshape(shape),
+               std_x.reshape(shape), None if p_m is None else p_m.reshape(shape))
 
 
 def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
@@ -426,28 +450,18 @@ def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
 
     Missing entries get the weight-averaged decoded mean over l_impute
     latent draws; observed entries pass through bit-exactly. The
-    probabilistic mask is the weight-averaged mask-decoder output.
+    probabilistic mask is the weight-averaged mask-decoder output; at
+    alpha=0 the mask decoder gets no training signal, so it is 0.5.
     """
-    if params.n_features != data.shape[1]:
-        raise ConsistencyError(
-            f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
     if rng is None:
         rng = make_rng(config.seed + 1)
-    nodes = _nodes(params)
-    n, d = data.shape
-    L = config.l_impute
     completed = np.array(data.values, dtype=np.float64)
-    prob_mask = np.zeros((n, d))
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        chunk = IncompleteMatrix(data.values[lo:hi], data.mask[lo:hi])
-        weights, mean_x, _, p_m = _forward_weights(chunk, nodes, config, L, rng)
-        w = weights.normalized[:, :, None]                      # (rows, L, 1)
-        est = (w * mean_x.reshape(hi - lo, L, d)).sum(axis=1)   # (rows, d)
-        pm = (w * p_m.reshape(hi - lo, L, d)).sum(axis=1)
-        miss = chunk.mask == 0
-        completed[lo:hi][miss] = est[miss]
-        prob_mask[lo:hi] = pm
+    prob_mask = np.full(data.shape, 0.5)
+    for rows, miss, w, mean_x, _, p_m in _chunk_passes(data, params, config, rng, chunk_rows):
+        w = w[:, :, None]
+        completed[rows][miss] = (w * mean_x).sum(axis=1)[miss]
+        if p_m is not None:
+            prob_mask[rows] = (w * p_m).sum(axis=1)
     return ImputationResult(completed=completed, prob_mask=prob_mask)
 
 
@@ -463,25 +477,16 @@ def multiple_impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelCo
         raise DomainError("n_draws must be >= 1")
     if rng is None:
         rng = make_rng(config.seed + 1)
-    nodes = _nodes(params)
-    n, d = data.shape
-    L = config.l_impute
     draws = [np.array(data.values, dtype=np.float64) for _ in range(n_draws)]
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        rows = hi - lo
-        chunk = IncompleteMatrix(data.values[lo:hi], data.mask[lo:hi])
-        weights, mean_x, std_x, _ = _forward_weights(chunk, nodes, config, L, rng)
-        mean_x = mean_x.reshape(rows, L, d)
-        std_x = std_x.reshape(rows, L, d)
-        cum = np.cumsum(weights.normalized, axis=1)
-        miss = chunk.mask == 0
+    for rows, miss, w, mean_x, std_x, _ in _chunk_passes(data, params, config, rng, chunk_rows):
+        n_rows, L, d = mean_x.shape
+        cum = np.cumsum(w, axis=1)
         for t in range(n_draws):
-            pick = np.minimum((cum < rng.random((rows, 1))).sum(axis=1), L - 1)
-            mu = mean_x[np.arange(rows), pick]
-            sd = std_x[np.arange(rows), pick]
-            sample = mu + sd * rng.standard_normal((rows, d))
-            draws[t][lo:hi][miss] = sample[miss]
+            pick = np.minimum((cum < rng.random((n_rows, 1))).sum(axis=1), L - 1)
+            mu = mean_x[np.arange(n_rows), pick]
+            sd = std_x[np.arange(n_rows), pick]
+            sample = mu + sd * rng.standard_normal((n_rows, d))
+            draws[t][rows][miss] = sample[miss]
     return draws
 
 
@@ -490,11 +495,12 @@ def multiple_impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelCo
 
 
 def save_checkpoint(path, params: ParamBlocks, config: ModelConfig) -> None:
-    """Versioned npz layout: config echo as JSON plus raw float64 blocks."""
+    """Versioned npz layout: config echo as JSON plus raw float64 blocks,
+    numeric and unicode arrays only, so the file loads without pickle."""
     payload = {
         "format_version": np.int64(CHECKPOINT_VERSION),
-        "config_json": np.array(json.dumps(asdict(config)), dtype=object),
-        "param_order": np.array(params.names, dtype=object),
+        "config_json": np.array(json.dumps(asdict(config))),
+        "param_order": np.array(params.names),
     }
     for name in params.names:
         payload[f"param:{name}"] = params[name]
@@ -502,13 +508,16 @@ def save_checkpoint(path, params: ParamBlocks, config: ModelConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (params, config); bit-exact inverse of save_checkpoint."""
-    with np.load(path, allow_pickle=True) as f:
-        version = int(f["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ConsistencyError(f"unsupported checkpoint version {version}")
-        raw = json.loads(str(f["config_json"][()]))
-        config = ModelConfig(**raw)
-        order = [str(x) for x in f["param_order"]]
-        params = ParamBlocks({name: f[f"param:{name}"] for name in order})
-    return params, config
+    """Returns (params, config); bit-exact inverse of save_checkpoint.
+    Never unpickles, so a crafted file cannot run code."""
+    with np.load(path, allow_pickle=False) as f:
+        try:
+            version = int(f["format_version"])
+            if version != CHECKPOINT_VERSION:
+                raise ConsistencyError(f"unsupported checkpoint version {version}")
+            raw = json.loads(str(f["config_json"][()]))
+            order = [str(x) for x in f["param_order"]]
+            blocks = {name: f[f"param:{name}"] for name in order}
+        except ValueError as e:  # object arrays need pickle; malformed JSON
+            raise ConsistencyError(f"checkpoint {path} is not a valid mnarkit checkpoint: {e}") from e
+    return ParamBlocks(blocks), ModelConfig(**raw)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mnarkit import evaluate, model as core, synth
-from mnarkit.errors import DomainError, MetricError
+from mnarkit import baselines, evaluate, model as core, synth
+from mnarkit.errors import DomainError, MetricError, NumericError
 
 
 class TestErrorMetrics:
@@ -138,6 +138,23 @@ class TestReportAndRunner:
         rep = self._tiny_run([0])
         assert rep.lookup("conjunction", "self_mask:k=0.8", "pct_improvement_rmse") is not None
         assert rep.lookup("random", "self_mask:k=0.8", "mask_accuracy_floor") is not None
+
+    def test_runner_records_toolkit_errors(self, monkeypatch):
+        def fail(kind, dataset, config):
+            raise NumericError("importance weights degenerate")
+
+        monkeypatch.setattr(baselines, "run_baseline", fail)
+        rep = self._tiny_run([0])
+        for method in ("conjunction", "mean"):
+            assert rep.lookup(method, "self_mask:k=0.8", "error:seed=0:NumericError") is not None
+
+    def test_runner_propagates_programming_errors(self, monkeypatch):
+        def bug(kind, dataset, config):
+            raise TypeError("not a toolkit error")
+
+        monkeypatch.setattr(baselines, "run_baseline", bug)
+        with pytest.raises(TypeError):
+            self._tiny_run([0])
 
     def test_mean_imputer_rmse_near_one_on_standardized_mcar(self):
         # imputing ~0 for unit-variance features puts the RMSE near 1

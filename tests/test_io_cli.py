@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from mnarkit import cli, io
+from mnarkit import baselines, cli, io
 from mnarkit.errors import ParseError
 from mnarkit.masking import IncompleteMatrix
 
@@ -202,3 +202,29 @@ class TestCli:
         echo = (tmp_path / "t" / "config_echo.txt").read_text()
         assert "model.alpha = 0.5" in echo          # flag wins
         assert "model.iterations = 15" in echo      # file value kept
+
+    @pytest.mark.parametrize(
+        "method", [m for m, overrides in baselines.METHODS.items() if overrides is not None])
+    def test_train_method_echoes_its_overrides(self, tmp_path, method):
+        synth_dir = str(tmp_path / "s")
+        cli.main(["synth", "--out", synth_dir, "--n", "30",
+                  "--missing-kind", "self_mask", "--missing-k", "0.8"])
+        assert cli.main(["train", "--data", os.path.join(synth_dir, "observed.csv"),
+                         "--out", str(tmp_path / "t"), "--method", method,
+                         "--alpha", "0.5", *FAST]) == 0
+        echo = (tmp_path / "t" / "config_echo.txt").read_text()
+        expected = {"alpha": 0.5, "structure": "parallel", **baselines.METHODS[method]}
+        for key, value in expected.items():
+            assert f"model.{key} = {value}\n" in echo
+        assert f"run.method = {method}\n" in echo
+
+    def test_train_rejects_the_mean_method(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["train", "--data", "observed.csv", "--method", "mean"])
+        assert e.value.code == 2
+
+    def test_bench_unknown_method_exits_1(self, tmp_path, capsys):
+        code = cli.main(["bench", "--out", str(tmp_path / "b"),
+                         "--methods", "conjunction,bogus", *FAST])
+        assert code == 1
+        assert "bogus" in capsys.readouterr().err

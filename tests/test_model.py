@@ -24,6 +24,16 @@ def toy_dataset(n=48, d=4, seed=0, k=0.8):
     return compose_observed(x, mask), x, mask
 
 
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("hidden_sizes", ()), ("hidden_sizes", (8, 0)), ("trace_interval", 0),
+        ("batch_size", 0), ("latent_dim", 0), ("learning_rate", 0.0),
+        ("learning_rate", -1e-3), ("mean_scale", 0.0), ("iterations", -1)])
+    def test_bad_value_names_the_field(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            core.ModelConfig(**{field: value})
+
+
 class TestEncode:
     def test_zero_impute_fully_observed_matches_complete(self):
         cfg = small_config()
@@ -380,6 +390,27 @@ class TestImpute:
             core.impute(data, params, cfg)
 
 
+    def test_alpha_zero_reports_uninformative_mask(self):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config(iterations=10, alpha=0.0)
+        params, _ = core.train(data, cfg)
+        assert np.all(core.impute(data, params, cfg).prob_mask == 0.5)
+
+    @pytest.mark.parametrize("structure", ["parallel", "serial"])
+    def test_one_decode_per_chunk(self, monkeypatch, structure):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config(structure=structure)
+        params = core.init_params(cfg, 4)
+        calls = []
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data",
+                            lambda *args: calls.append(1) or decode_data(*args))
+        core.impute(data, params, cfg, chunk_rows=8)
+        assert len(calls) == 3
+        core.multiple_impute(data, params, cfg, 2, chunk_rows=8)
+        assert len(calls) == 6
+
+
 class TestMultipleImpute:
     def test_single_latent_always_selected(self):
         data, _, mask = toy_dataset(n=8)
@@ -437,3 +468,30 @@ class TestCheckpoint:
         np.savez(path, **data)
         with pytest.raises(ConsistencyError):
             core.load_checkpoint(path)
+
+    def test_object_array_is_rejected_without_unpickling(self, tmp_path):
+        cfg = small_config()
+        params = core.init_params(cfg, 2)
+        path = tmp_path / "model.npz"
+        core.save_checkpoint(path, params, cfg)
+        data = dict(np.load(path))
+        data["config_json"] = np.array([_PickleTrap()], dtype=object)
+        np.savez(path, **data)
+        with pytest.raises(ConsistencyError):
+            core.load_checkpoint(path)
+        assert _TRAP_SPRUNG == []
+
+
+_TRAP_SPRUNG = []
+
+
+def _spring_trap():
+    _TRAP_SPRUNG.append(True)
+    return "{}"
+
+
+class _PickleTrap:
+    """Unpickling this object calls _spring_trap."""
+
+    def __reduce__(self):
+        return _spring_trap, ()
