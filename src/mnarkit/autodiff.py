@@ -4,6 +4,17 @@ Values are float64 numpy arrays of shape (rows, cols). A ``Tensor`` records
 the operation that produced it, so calling :func:`backward` on a scalar
 result accumulates gradients into every upstream tensor. Randomness never
 enters here; noise is always an explicitly passed constant array.
+
+Every tensor carries ``requires_grad``. A leaf built with ``Tensor(x)`` has
+it set; a leaf built with :func:`constant` does not, and never receives a
+gradient. An operation's output requires a gradient iff one of its inputs
+does: it keeps only those inputs as parents and skips the partials of the
+others. A forward pass over constants alone therefore records no tape, and
+each intermediate array is freed as soon as nothing refers to it.
+
+Gradients are never written in place. A node's first gradient is the very
+array its consumer passed in, which may be shared with another node or be
+a read-only view, so every backward rule builds new arrays from ``g``.
 """
 
 from __future__ import annotations
@@ -26,31 +37,40 @@ STD_CAP = 1e3
 
 
 class Tensor:
-    """A 2-D array plus the closure that backpropagates into its parents."""
+    """A 2-D array plus the closure that backpropagates into its parents.
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    ``parents`` are the inputs of the operation that made the tensor; those
+    that require no gradient are dropped, and with none left the tensor is
+    a constant without a backward closure.
+    """
 
-    def __init__(self, value, parents=(), backward=None):
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, value, parents=(), backward=None, requires_grad=True):
         self.value = np.atleast_2d(np.asarray(value, dtype=np.float64))
         self.grad = None
-        self._parents = tuple(parents)
-        self._backward = backward
+        if parents:
+            parents = tuple(p for p in parents if p.requires_grad)
+            requires_grad = bool(parents)
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._backward = backward if requires_grad else None
 
     @property
     def shape(self):
         return self.value.shape
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+        # assignment is safe only because no gradient is written in place
+        self.grad = g if self.grad is None else self.grad + g
 
     def __repr__(self):
         return f"Tensor(shape={self.value.shape})"
 
 
 def constant(value) -> Tensor:
-    return Tensor(value)
+    """A leaf that never receives a gradient."""
+    return Tensor(value, requires_grad=False)
 
 
 def backward(result: Tensor) -> None:
@@ -87,72 +107,66 @@ def backward(result: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
-    out = Tensor(a.value @ b.value, (a, b))
 
     def _bw(g):
-        a._accumulate(g @ b.value.T)
-        b._accumulate(a.value.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.value.T)
+        if b.requires_grad:
+            b._accumulate(a.value.T @ g)
 
-    out._backward = _bw
-    return out
+    return Tensor(a.value @ b.value, (a, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a (1, n) row broadcast over a's rows."""
     _check_broadcast(a.value.shape, b.value.shape)
-    out = Tensor(a.value + b.value, (a, b))
 
     def _bw(g):
-        a._accumulate(g)
-        b._accumulate(_reduce_to(g, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(_reduce_to(g, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(a.value + b.value, (a, b), _bw)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.value.shape, b.value.shape)
-    out = Tensor(a.value - b.value, (a, b))
 
     def _bw(g):
-        a._accumulate(g)
-        b._accumulate(-_reduce_to(g, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(g)
+        if b.requires_grad:
+            b._accumulate(-_reduce_to(g, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(a.value - b.value, (a, b), _bw)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_broadcast(a.value.shape, b.value.shape)
-    out = Tensor(a.value * b.value, (a, b))
 
     def _bw(g):
-        a._accumulate(_reduce_to(g * b.value, a.value.shape))
-        b._accumulate(_reduce_to(g * a.value, b.value.shape))
+        if a.requires_grad:
+            a._accumulate(_reduce_to(g * b.value, a.value.shape))
+        if b.requires_grad:
+            b._accumulate(_reduce_to(g * a.value, b.value.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(a.value * b.value, (a, b), _bw)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c, (a,))
-    out._backward = lambda g: a._accumulate(g * c)
-    return out
+    return Tensor(a.value * c, (a,), lambda g: a._accumulate(g * c))
 
 
 def mul_const(a: Tensor, c) -> Tensor:
     """Elementwise product with a constant array (no gradient into c)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.value * c, (a,))
-    out._backward = lambda g: a._accumulate(g * c)
-    return out
+    return Tensor(a.value * c, (a,), lambda g: a._accumulate(g * c))
 
 
 def add_const(a: Tensor, c) -> Tensor:
     c = np.asarray(c, dtype=np.float64)
-    out = Tensor(a.value + c, (a,))
-    out._backward = lambda g: a._accumulate(g)
-    return out
+    return Tensor(a.value + c, (a,), lambda g: a._accumulate(g))
 
 
 def _check_broadcast(sa, sb):
@@ -177,78 +191,61 @@ def _reduce_to(g, shape):
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.value.reshape(shape), (a,))
-    out._backward = lambda g: a._accumulate(g.reshape(a.value.shape))
-    return out
+    return Tensor(a.value.reshape(shape), (a,),
+                  lambda g: a._accumulate(g.reshape(a.value.shape)))
 
 
 def repeat_rows(a: Tensor, k: int) -> Tensor:
     """Repeat each row k times in place: row i maps to rows i*k..i*k+k-1."""
-    out = Tensor(np.repeat(a.value, k, axis=0), (a,))
 
     def _bw(g):
         n, c = a.value.shape
         a._accumulate(g.reshape(n, k, c).sum(axis=1))
 
-    out._backward = _bw
-    return out
+    return Tensor(np.repeat(a.value, k, axis=0), (a,), _bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.value.sum(keepdims=True).reshape(1, 1), (a,))
-    out._backward = lambda g: a._accumulate(np.full_like(a.value, g[0, 0]))
-    return out
+    return Tensor(a.value.sum(keepdims=True).reshape(1, 1), (a,),
+                  lambda g: a._accumulate(np.full_like(a.value, g[0, 0])))
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
-    out = Tensor(a.value.sum(axis=axis, keepdims=True), (a,))
-    out._backward = lambda g: a._accumulate(np.broadcast_to(g, a.value.shape).copy())
-    return out
+    # the read-only broadcast view is a valid gradient: none is written in place
+    return Tensor(a.value.sum(axis=axis, keepdims=True), (a,),
+                  lambda g: a._accumulate(np.broadcast_to(g, a.value.shape)))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
-    out = Tensor(a.value.mean(keepdims=True).reshape(1, 1), (a,))
-    out._backward = lambda g: a._accumulate(np.full_like(a.value, g[0, 0] / n))
-    return out
+    return Tensor(a.value.mean(keepdims=True).reshape(1, 1), (a,),
+                  lambda g: a._accumulate(np.full_like(a.value, g[0, 0] / n)))
 
 
 # ---------------------------------------------------------------------------
 # activations and likelihoods
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) without overflow: exp(-|x|) is exp(x) for x < 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
 def tanh(a: Tensor) -> Tensor:
     v = np.tanh(a.value)
-    out = Tensor(v, (a,))
-    out._backward = lambda g: a._accumulate(g * (1.0 - v * v))
-    return out
+    return Tensor(v, (a,), lambda g: a._accumulate(g * (1.0 - v * v)))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     """Logistic function with outputs clamped to [PROB_FLOOR, 1-PROB_FLOOR]."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = np.where(a.value >= 0,
-                     1.0 / (1.0 + np.exp(-a.value)),
-                     np.exp(a.value) / (1.0 + np.exp(a.value)))
-    v = np.clip(v, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    out = Tensor(v, (a,))
-    out._backward = lambda g: a._accumulate(g * v * (1.0 - v))
-    return out
+    v = np.clip(_logistic(a.value), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return Tensor(v, (a,), lambda g: a._accumulate(g * v * (1.0 - v)))
 
 
 def softplus(a: Tensor) -> Tensor:
-    v = np.logaddexp(0.0, a.value)
-    out = Tensor(v, (a,))
-
-    def _bw(g):
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.where(a.value >= 0,
-                         1.0 / (1.0 + np.exp(-a.value)),
-                         np.exp(a.value) / (1.0 + np.exp(a.value)))
-        a._accumulate(g * s)
-
-    out._backward = _bw
-    return out
+    return Tensor(np.logaddexp(0.0, a.value), (a,),
+                  lambda g: a._accumulate(g * _logistic(a.value)))
 
 
 def activate(a: Tensor, kind: str) -> Tensor:
@@ -263,11 +260,8 @@ def activate(a: Tensor, kind: str) -> Tensor:
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clamp with straight-through gradient inside the bounds, zero outside."""
-    v = np.clip(a.value, lo, hi)
     inside = (a.value > lo) & (a.value < hi)
-    out = Tensor(v, (a,))
-    out._backward = lambda g: a._accumulate(g * inside)
-    return out
+    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: a._accumulate(g * inside))
 
 
 def std_head(pre: Tensor) -> Tensor:
@@ -275,11 +269,34 @@ def std_head(pre: Tensor) -> Tensor:
     return clip(add_const(softplus(pre), STD_FLOOR), STD_FLOOR, STD_CAP)
 
 
-def dense(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b with b a (1, out) row."""
+def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
+    """Affine map x @ w + b with b a (1, out) row, then ``act`` ("tanh" or None).
+
+    One node: the bias and tanh are applied in place on the product, which
+    is bit-identical to ``tanh(add(matmul(x, w), b))``.
+    """
+    if act not in (None, "tanh"):
+        raise DomainError(f"dense: unknown activation {act!r}")
     if b.value.shape != (1, w.value.shape[1]):
         raise ShapeError(f"bias shape {b.value.shape} does not match weight cols {w.value.shape[1]}")
-    return add(matmul(x, w), b)
+    # the product comes from matmul, looked up at call time, and is private
+    # to this call, so it may be overwritten
+    v = matmul(x, w).value
+    v += b.value
+    if act == "tanh":
+        np.tanh(v, out=v)
+
+    def _bw(g):
+        if act == "tanh":
+            g = g * (1.0 - v * v)
+        if x.requires_grad:
+            x._accumulate(g @ w.value.T)
+        if w.requires_grad:
+            w._accumulate(x.value.T @ g)
+        if b.requires_grad:
+            b._accumulate(_reduce_to(g, b.value.shape))
+
+    return Tensor(v, (x, w, b), _bw)
 
 
 def gaussian_log_density(x, mean, std) -> Tensor:
@@ -292,17 +309,18 @@ def gaussian_log_density(x, mean, std) -> Tensor:
     _check_broadcast(xt.value.shape, mt.value.shape)
     z = (xt.value - mt.value) / st.value
     v = -np.log(st.value) - 0.5 * LOG_2PI - 0.5 * z * z
-    out = Tensor(np.broadcast_to(v, np.broadcast_shapes(xt.value.shape, mt.value.shape)).copy(),
-                 (xt, mt, st))
 
     def _bw(g):
         inv = 1.0 / st.value
-        xt._accumulate(_reduce_to(g * (-z * inv), xt.value.shape))
-        mt._accumulate(_reduce_to(g * (z * inv), mt.value.shape))
-        st._accumulate(_reduce_to(g * ((z * z - 1.0) * inv), st.value.shape))
+        if xt.requires_grad:
+            xt._accumulate(_reduce_to(g * (-z * inv), xt.value.shape))
+        if mt.requires_grad:
+            mt._accumulate(_reduce_to(g * (z * inv), mt.value.shape))
+        if st.requires_grad:
+            st._accumulate(_reduce_to(g * ((z * z - 1.0) * inv), st.value.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(np.broadcast_to(v, np.broadcast_shapes(xt.value.shape, mt.value.shape)).copy(),
+                  (xt, mt, st), _bw)
 
 
 def bernoulli_log_density(m, p: Tensor) -> Tensor:
@@ -313,9 +331,8 @@ def bernoulli_log_density(m, p: Tensor) -> Tensor:
     if np.any(p.value <= 0) or np.any(p.value >= 1):
         raise DomainError("bernoulli_log_density: p must lie in the open unit interval")
     v = m * np.log(p.value) + (1.0 - m) * np.log1p(-p.value)
-    out = Tensor(v, (p,))
-    out._backward = lambda g: p._accumulate(g * (m / p.value - (1.0 - m) / (1.0 - p.value)))
-    return out
+    return Tensor(v, (p,),
+                  lambda g: p._accumulate(g * (m / p.value - (1.0 - m) / (1.0 - p.value))))
 
 
 def reparameterize(mean: Tensor, std: Tensor, noise) -> Tensor:
@@ -334,9 +351,7 @@ def log_sum_exp(a: Tensor, axis: int) -> Tensor:
     m = a.value.max(axis=axis, keepdims=True)
     shifted = np.exp(a.value - m)
     total = shifted.sum(axis=axis, keepdims=True)
-    out = Tensor(m + np.log(total), (a,))
-    out._backward = lambda g: a._accumulate(g * shifted / total)
-    return out
+    return Tensor(m + np.log(total), (a,), lambda g: a._accumulate(g * shifted / total))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Dataset and config file handling.
 
 Matrix CSV: header row of feature names, one row per sample, empty cell =
-missing (the tokens ``NA``/``nan`` are accepted on read, never written).
+missing (the tokens ``NA``/``nan`` are accepted on read, never written);
+any other cell must be a finite number.
 Triplet CSV: columns user_id,item_id,rating with integer star ratings.
 Config files are flat ``key = value`` lines with ``#`` comments; nested
 settings use dotted keys (e.g. ``missing.kind``).
@@ -10,6 +11,7 @@ settings use dotted keys (e.g. ``missing.kind``).
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -42,10 +44,14 @@ def load_matrix_csv(path):
                     mrow.append(0.0)
                 else:
                     try:
-                        vrow.append(float(token))
+                        value = float(token)
                     except ValueError:
                         raise ParseError(
                             f"{path}: row {i}, column {j + 1}: not a number: {token!r}") from None
+                    if not math.isfinite(value):
+                        raise ParseError(
+                            f"{path}: row {i}, column {j + 1}: not a finite number: {token!r}")
+                    vrow.append(value)
                     mrow.append(1.0)
             values.append(vrow)
             mask.append(mrow)

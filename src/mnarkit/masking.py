@@ -11,12 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateFeatureError, ShapeError
+from .errors import ConsistencyError, DegenerateFeatureError, DomainError, ShapeError
 
 
 @dataclass(frozen=True)
 class IncompleteMatrix:
-    """Row-major values plus a 0/1 mask (1 = observed)."""
+    """Row-major values plus a 0/1 mask (1 = observed).
+
+    Observed values must be finite; missing positions may hold anything.
+    """
 
     values: np.ndarray
     mask: np.ndarray
@@ -30,6 +33,11 @@ class IncompleteMatrix:
             raise ShapeError(f"values {values.shape} vs mask {mask.shape}")
         if np.any((mask != 0) & (mask != 1)):
             raise ConsistencyError("mask entries must be 0 or 1")
+        bad = (mask == 1) & ~np.isfinite(values)
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            raise DomainError(f"observed value at row {i}, column {j} is {values[i, j]}, "
+                              "not a finite number")
 
     @property
     def shape(self):

@@ -117,54 +117,70 @@ def _glorot(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def init_params(config: ModelConfig, d: int, rng=None) -> ParamBlocks:
-    """Fresh parameter blocks for a d-feature dataset."""
-    if rng is None:
-        rng = make_rng(config.seed)
+def param_shapes(config: ModelConfig, d: int) -> dict:
+    """Name -> shape of every parameter block for a d-feature dataset, in
+    the order init_params draws them. Bias names start with ``b``."""
     h = config.hidden_sizes
-    p = {}
+    s = {}
     if config.encoder == "zero_impute":
         sizes = [d, *h]
         for i in range(len(h)):
-            p[f"enc.W{i}"] = _glorot(rng, sizes[i], sizes[i + 1])
-            p[f"enc.b{i}"] = np.zeros((1, sizes[i + 1]))
+            s[f"enc.W{i}"] = (sizes[i], sizes[i + 1])
+            s[f"enc.b{i}"] = (1, sizes[i + 1])
         top = h[-1]
     else:
         emb, code = config.set_embedding_size, config.set_code_size
-        p["enc.Eval"] = _glorot(rng, d, emb) * np.sqrt(d / (1 + emb))  # per-pair scale
-        p["enc.Eid"] = _glorot(rng, d, emb) * np.sqrt(d / (1 + emb))
-        p["enc.Wcode"] = _glorot(rng, emb, code)
-        p["enc.bcode"] = np.zeros((1, code))
+        s["enc.Eval"] = (d, emb)
+        s["enc.Eid"] = (d, emb)
+        s["enc.Wcode"] = (emb, code)
+        s["enc.bcode"] = (1, code)
         top = code
-    p["enc.Wmean"] = _glorot(rng, top, config.latent_dim)
-    p["enc.bmean"] = np.zeros((1, config.latent_dim))
-    p["enc.Wstd"] = _glorot(rng, top, config.latent_dim)
-    p["enc.bstd"] = np.zeros((1, config.latent_dim))
+    s["enc.Wmean"] = (top, config.latent_dim)
+    s["enc.bmean"] = (1, config.latent_dim)
+    s["enc.Wstd"] = (top, config.latent_dim)
+    s["enc.bstd"] = (1, config.latent_dim)
 
     sizes = [config.latent_dim, *h]
     for i in range(len(h)):
-        p[f"dec_x.W{i}"] = _glorot(rng, sizes[i], sizes[i + 1])
-        p[f"dec_x.b{i}"] = np.zeros((1, sizes[i + 1]))
-    p["dec_x.Wmean"] = _glorot(rng, h[-1], d)
-    p["dec_x.bmean"] = np.zeros((1, d))
-    p["dec_x.Wstd"] = _glorot(rng, h[-1], d)
-    p["dec_x.bstd"] = np.zeros((1, d))
+        s[f"dec_x.W{i}"] = (sizes[i], sizes[i + 1])
+        s[f"dec_x.b{i}"] = (1, sizes[i + 1])
+    s["dec_x.Wmean"] = (h[-1], d)
+    s["dec_x.bmean"] = (1, d)
+    s["dec_x.Wstd"] = (h[-1], d)
+    s["dec_x.bstd"] = (1, d)
 
     if config.structure == "parallel":
         for i in range(len(h)):
-            p[f"dec_m.W{i}"] = _glorot(rng, sizes[i], sizes[i + 1])
-            p[f"dec_m.b{i}"] = np.zeros((1, sizes[i + 1]))
-        p["dec_m.Wout"] = _glorot(rng, h[-1], d)
-        p["dec_m.bout"] = np.zeros((1, d))
+            s[f"dec_m.W{i}"] = (sizes[i], sizes[i + 1])
+            s[f"dec_m.b{i}"] = (1, sizes[i + 1])
+        s["dec_m.Wout"] = (h[-1], d)
+        s["dec_m.bout"] = (1, d)
     else:
         # serial selection head: single dense+sigmoid on the decoded data mean
-        p["dec_m.W"] = _glorot(rng, d, d)
-        p["dec_m.b"] = np.zeros((1, d))
+        s["dec_m.W"] = (d, d)
+        s["dec_m.b"] = (1, d)
+    return s
+
+
+def init_params(config: ModelConfig, d: int, rng=None) -> ParamBlocks:
+    """Fresh parameter blocks for a d-feature dataset: zero biases, Glorot
+    weights, and the set encoder's embeddings scaled per (value, id) pair."""
+    if rng is None:
+        rng = make_rng(config.seed)
+    p = {}
+    for name, shape in param_shapes(config, d).items():
+        if name.split(".")[1].startswith("b"):
+            p[name] = np.zeros(shape)
+        elif name in ("enc.Eval", "enc.Eid"):
+            p[name] = _glorot(rng, *shape) * np.sqrt(d / (1 + config.set_embedding_size))
+        else:
+            p[name] = _glorot(rng, *shape)
     return ParamBlocks(p)
 
 
-def _nodes(params: ParamBlocks) -> dict:
-    return {k: Tensor(params[k]) for k in params.names}
+def _nodes(params: ParamBlocks, requires_grad: bool = True) -> dict:
+    """One leaf per block; constants (requires_grad=False) record no tape."""
+    return {k: Tensor(params[k], requires_grad=requires_grad) for k in params.names}
 
 
 def _flat_grads(params: ParamBlocks, nodes: dict) -> np.ndarray:
@@ -187,14 +203,14 @@ def encode(data: IncompleteMatrix, nodes: dict, config: ModelConfig):
     embeddings of the observed (feature-id, value) pairs only.
     """
     if config.encoder == "zero_impute":
-        h = Tensor(zero_impute(data))
+        h = ad.constant(zero_impute(data))
         for i in range(len(config.hidden_sizes)):
-            h = ad.tanh(ad.dense(h, nodes[f"enc.W{i}"], nodes[f"enc.b{i}"]))
+            h = ad.dense(h, nodes[f"enc.W{i}"], nodes[f"enc.b{i}"], "tanh")
     else:
         filled = zero_impute(data)  # masked values; missing contributes nothing
-        s = ad.add(ad.matmul(Tensor(filled * data.mask), nodes["enc.Eval"]),
-                   ad.matmul(Tensor(data.mask), nodes["enc.Eid"]))
-        h = ad.tanh(ad.dense(s, nodes["enc.Wcode"], nodes["enc.bcode"]))
+        s = ad.add(ad.matmul(ad.constant(filled * data.mask), nodes["enc.Eval"]),
+                   ad.matmul(ad.constant(data.mask), nodes["enc.Eid"]))
+        h = ad.dense(s, nodes["enc.Wcode"], nodes["enc.bcode"], "tanh")
     mean = ad.dense(h, nodes["enc.Wmean"], nodes["enc.bmean"])
     std = ad.std_head(ad.dense(h, nodes["enc.Wstd"], nodes["enc.bstd"]))
     return mean, std
@@ -204,7 +220,7 @@ def decode_data(z: Tensor, nodes: dict, config: ModelConfig):
     """Gaussian likelihood parameters (mean_x, std_x) for all features."""
     h = z
     for i in range(len(config.hidden_sizes)):
-        h = ad.tanh(ad.dense(h, nodes[f"dec_x.W{i}"], nodes[f"dec_x.b{i}"]))
+        h = ad.dense(h, nodes[f"dec_x.W{i}"], nodes[f"dec_x.b{i}"], "tanh")
     mean = ad.dense(h, nodes["dec_x.Wmean"], nodes["dec_x.bmean"])
     if config.mean_activation == "sigmoid":
         mean = ad.scale(ad.sigmoid(mean), config.mean_scale)
@@ -216,7 +232,7 @@ def decode_mask(z: Tensor, nodes: dict, config: ModelConfig) -> Tensor:
     """Per-entry observation probabilities from the parallel mask decoder."""
     h = z
     for i in range(len(config.hidden_sizes)):
-        h = ad.tanh(ad.dense(h, nodes[f"dec_m.W{i}"], nodes[f"dec_m.b{i}"]))
+        h = ad.dense(h, nodes[f"dec_m.W{i}"], nodes[f"dec_m.b{i}"], "tanh")
     return ad.sigmoid(ad.dense(h, nodes["dec_m.Wout"], nodes["dec_m.bout"]))
 
 
@@ -346,7 +362,7 @@ def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
     Pass ``noise`` of shape (n*k, latent_dim) for shared-randomness
     comparisons across k; otherwise draws k_train samples from rng.
     """
-    nodes = _nodes(params)
+    nodes = _nodes(params, requires_grad=False)
     if noise is None:
         n = data.shape[0]
         noise = rng.standard_normal((n * config.k_train, config.latent_dim))
@@ -432,7 +448,7 @@ def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConf
     if params.n_features != data.shape[1]:
         raise ConsistencyError(
             f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
-    nodes = _nodes(params)
+    nodes = _nodes(params, requires_grad=False)
     n, d = data.shape
     L = config.l_impute
     for lo in range(0, n, chunk_rows):
@@ -509,7 +525,8 @@ def save_checkpoint(path, params: ParamBlocks, config: ModelConfig) -> None:
 
 def load_checkpoint(path):
     """Returns (params, config); bit-exact inverse of save_checkpoint.
-    Never unpickles, so a crafted file cannot run code."""
+    Never unpickles, so a crafted file cannot run code. Every block must
+    have the name and shape that ``param_shapes`` gives for the config."""
     with np.load(path, allow_pickle=False) as f:
         try:
             version = int(f["format_version"])
@@ -520,4 +537,22 @@ def load_checkpoint(path):
             blocks = {name: f[f"param:{name}"] for name in order}
         except ValueError as e:  # object arrays need pickle; malformed JSON
             raise ConsistencyError(f"checkpoint {path} is not a valid mnarkit checkpoint: {e}") from e
-    return ParamBlocks(blocks), ModelConfig(**raw)
+    params, config = ParamBlocks(blocks), ModelConfig(**raw)
+    _check_blocks(path, params, config)
+    return params, config
+
+
+def _check_blocks(path, params: ParamBlocks, config: ModelConfig) -> None:
+    """Compare every block's name and shape with the config's param_shapes
+    for the feature count of ``dec_x.bmean``."""
+    got = {name: params[name].shape for name in params.names}
+    want = param_shapes(config, (got.get("dec_x.bmean") or (1,))[-1])
+    for name, shape in want.items():
+        if name not in got:
+            raise ConsistencyError(f"checkpoint {path}: block {name} is missing")
+        if got[name] != shape:
+            raise ConsistencyError(f"checkpoint {path}: block {name} has shape {got[name]}, "
+                                   f"the config builds {shape}")
+    extra = sorted(set(got) - set(want))
+    if extra:
+        raise ConsistencyError(f"checkpoint {path}: block {extra[0]} is not built by the config")

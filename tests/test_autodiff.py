@@ -266,6 +266,62 @@ class TestCompositeGradients:
         assert failures == 0
 
 
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestTape:
+    """The fused dense node, constants and the first-gradient assignment."""
+
+    def test_fused_dense_tanh_is_bit_equal_to_the_composition(self):
+        r = np.random.default_rng(3)
+        x0, w0, b0 = r.standard_normal((5, 3)), r.standard_normal((3, 4)), r.standard_normal((1, 4))
+        weights = r.standard_normal((5, 4))
+
+        def run(layer):
+            x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
+            out = layer(x, w, b)
+            backward(ad.sum_all(ad.mul_const(out, weights)))
+            return out.value, x.grad, w.grad, b.grad
+
+        fused = run(lambda x, w, b: ad.dense(x, w, b, "tanh"))
+        composed = run(lambda x, w, b: ad.tanh(ad.add(ad.matmul(x, w), b)))
+        for got, want in zip(fused, composed):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_constant_leaf_gets_no_gradient(self):
+        x = rng.standard_normal((2, 3))
+        w = Tensor(rng.standard_normal((3, 2)))
+        const, leaf = ad.constant(x), Tensor(x)
+        backward(ad.sum_all(ad.add(ad.matmul(const, w), ad.matmul(leaf, w))))
+        assert const.grad is None
+        assert leaf.grad is not None and w.grad is not None
+        assert ad.matmul(const, ad.constant(np.ones((3, 1))))._parents == ()
+
+    def test_parents_sharing_a_gradient_stay_independent(self):
+        # both parents of the outer add receive the same g; a then
+        # accumulates once more through s, which must not change s or b
+        a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
+        s = ad.add(a, b)
+        backward(ad.sum_all(ad.add(s, a)))
+        assert np.array_equal(a.grad, np.full((2, 2), 2.0))
+        assert np.array_equal(s.grad, np.ones((2, 2)))
+        assert np.array_equal(b.grad, np.ones((2, 2)))
+
+    def test_logistic_is_bit_equal_to_the_two_branch_formula(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0,
+                      *np.linspace(-40.0, 40.0, 801)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        assert np.array_equal(_bits(ad._logistic(x)), _bits(want))
+
+    def test_dense_rejects_unknown_activation(self):
+        with pytest.raises(DomainError):
+            ad.dense(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2))),
+                     "relu")
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = rng.standard_normal(5)

@@ -42,6 +42,13 @@ class TestMatrixCsv:
         with pytest.raises(ParseError, match="column 2"):
             io.load_matrix_csv(p)
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "Infinity", "-nan"])
+    def test_non_finite_cell_location(self, tmp_path, token):
+        p = tmp_path / "m.csv"
+        p.write_text(f"a,b\n1,2\n3,{token}\n")
+        with pytest.raises(ParseError, match="row 3, column 2"):
+            io.load_matrix_csv(p)
+
     def test_round_trip_lossless(self, tmp_path):
         rng = np.random.default_rng(0)
         data = IncompleteMatrix(rng.standard_normal((6, 3)),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mnarkit.errors import ConsistencyError, DegenerateFeatureError, ShapeError
+from mnarkit.errors import ConsistencyError, DegenerateFeatureError, DomainError, ShapeError
 from mnarkit.masking import (FeatureStats, IncompleteMatrix, compose_missing,
                              compose_observed, destandardize, recombine,
                              standardize, zero_impute)
@@ -37,6 +37,21 @@ class TestCompose:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             compose_observed(np.zeros((2, 2)), np.zeros((2, 3)))
+
+
+
+class TestObservedValuesFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observed_value_names_its_cell(self, bad):
+        values = np.zeros((3, 4))
+        values[2, 1] = values[2, 3] = bad
+        with pytest.raises(DomainError, match="row 2, column 1"):
+            IncompleteMatrix(values, np.ones((3, 4)))
+
+    def test_missing_cells_may_hold_non_finite_values(self):
+        values = np.array([[1.0, np.nan], [np.inf, 2.0]])
+        data = IncompleteMatrix(values, np.array([[1.0, 0.0], [0.0, 1.0]]))
+        assert data.observed_fraction() == 0.5
 
 
 class TestRecombine:

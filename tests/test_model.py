@@ -411,6 +411,22 @@ class TestImpute:
         assert len(calls) == 6
 
 
+    def test_imputation_records_no_tape(self, monkeypatch):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        built = []
+        weights_of = core.importance_log_weights
+        monkeypatch.setattr(core, "importance_log_weights",
+                            lambda *args: built.append(weights_of(*args)) or built[-1])
+        core.impute(data, params, cfg, chunk_rows=8)
+        core.bound(data, params, cfg, rng=make_rng(1))
+        assert len(built) == 4
+        for weights in built:
+            assert weights.node._parents == ()
+            assert not weights.node.requires_grad
+
+
 class TestMultipleImpute:
     def test_single_latent_always_selected(self):
         data, _, mask = toy_dataset(n=8)
@@ -495,3 +511,27 @@ class _PickleTrap:
 
     def __reduce__(self):
         return _spring_trap, ()
+
+
+class TestCheckpointShapes:
+    @pytest.mark.parametrize("saved, loaded, match", [
+        (dict(latent_dim=1), dict(latent_dim=2), r"enc\.Wmean has shape \(8, 1\), .* \(8, 2\)"),
+        (dict(), dict(structure="serial"), r"dec_m\.W is missing"),
+        (dict(structure="serial"), dict(), r"dec_m\.W0 is missing"),
+        (dict(), dict(hidden_sizes=(8, 16)), r"enc\.W1 has shape \(8, 8\), .* \(8, 16\)"),
+    ])
+    def test_config_disagreeing_with_blocks_is_refused(self, tmp_path, saved, loaded, match):
+        params = core.init_params(small_config(**saved), 3)
+        path = tmp_path / "model.npz"
+        core.save_checkpoint(path, params, small_config(**loaded))
+        with pytest.raises(ConsistencyError, match=match):
+            core.load_checkpoint(path)
+
+    def test_extra_block_is_refused(self, tmp_path):
+        cfg = small_config()
+        params = core.init_params(cfg, 3)
+        params["enc.extra"] = np.zeros((1, 1))
+        path = tmp_path / "model.npz"
+        core.save_checkpoint(path, params, cfg)
+        with pytest.raises(ConsistencyError, match=r"enc\.extra is not built"):
+            core.load_checkpoint(path)
