@@ -15,6 +15,12 @@ each intermediate array is freed as soon as nothing refers to it.
 Gradients are never written in place. A node's first gradient is the very
 array its consumer passed in, which may be shared with another node or be
 a read-only view, so every backward rule builds new arrays from ``g``.
+Values are not written in place either once their tensor exists, so a
+caller may keep a view of one without copying it.
+
+A product with an inner dimension of 1, such as a decoder's first layer at
+``latent_dim=1``, is an outer product: :func:`matmul` computes it without
+BLAS, bit-equal to the BLAS call it replaces, signs of zeros included.
 """
 
 from __future__ import annotations
@@ -107,6 +113,15 @@ def backward(result: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape[1] != b.value.shape[0]:
         raise ShapeError(f"matmul: {a.value.shape} @ {b.value.shape}")
+    if a.value.shape[1] == 1:
+        # An outer product, such as a decoder's first layer at latent_dim=1.
+        # einsum sums each single product onto +0.0, as BLAS does, so it is
+        # bit-equal to ``@``, where a plain multiply gives -0.0 for +0.0. At
+        # 2560-32000 rows by 128 it ran 2-3x faster than either (2-core
+        # Xeon, OpenBLAS 0.3.31, one thread).
+        v = np.einsum("ik,kj->ij", a.value, b.value)
+    else:
+        v = a.value @ b.value
 
     def _bw(g):
         if a.requires_grad:
@@ -114,7 +129,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.value.T @ g)
 
-    return Tensor(a.value @ b.value, (a, b), _bw)
+    return Tensor(v, (a, b), _bw)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -258,15 +273,18 @@ def activate(a: Tensor, kind: str) -> Tensor:
     raise DomainError(f"unknown activation kind {kind!r}")
 
 
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp with straight-through gradient inside the bounds, zero outside."""
-    inside = (a.value > lo) & (a.value < hi)
-    return Tensor(np.clip(a.value, lo, hi), (a,), lambda g: a._accumulate(g * inside))
-
-
 def std_head(pre: Tensor) -> Tensor:
-    """Standard-deviation head: softplus plus floor, capped."""
-    return clip(add_const(softplus(pre), STD_FLOOR), STD_FLOOR, STD_CAP)
+    """Standard-deviation head: softplus plus STD_FLOOR, clipped to
+    [STD_FLOOR, STD_CAP] with a zero gradient outside.
+
+    One node, bit-identical in value and gradient to softplus, then adding
+    the floor, then a straight-through clip.
+    """
+    v = np.logaddexp(0.0, pre.value)
+    v += STD_FLOOR
+    inside = (v > STD_FLOOR) & (v < STD_CAP) if pre.requires_grad else None
+    np.clip(v, STD_FLOOR, STD_CAP, out=v)
+    return Tensor(v, (pre,), lambda g: pre._accumulate((g * inside) * _logistic(pre.value)))
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
@@ -288,7 +306,10 @@ def dense(x: Tensor, w: Tensor, b: Tensor, act: str | None = None) -> Tensor:
 
     def _bw(g):
         if act == "tanh":
-            g = g * (1.0 - v * v)
+            # g * (1 - v*v) in one buffer, in the same order
+            t = v * v
+            np.subtract(1.0, t, out=t)
+            g = np.multiply(g, t, out=t)
         if x.requires_grad:
             x._accumulate(g @ w.value.T)
         if w.requires_grad:

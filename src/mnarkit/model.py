@@ -11,7 +11,7 @@ dense+sigmoid head on the decoded data mean (selection-model baseline).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -247,6 +247,46 @@ def mask_probabilities(z: Tensor, mean_x: Tensor, nodes: dict, config: ModelConf
     return decode_mask_serial(mean_x, nodes)
 
 
+# Latent rows a forward pass without gradients decodes at once. A 32-row
+# chunk at L=1000 is 32000 rows, and each of its 128-wide activations (33 MB)
+# is far larger than the cache. Every tile has at least this many rows: on
+# fewer, OpenBLAS computes a narrow product such as a 128x4 output head with
+# its small-matrix kernel (OpenBLAS 0.3.31: below about 1950 rows), which
+# moves the last bits.
+TILE_ROWS = 4096
+
+
+def _tiles(n: int) -> list[slice]:
+    """Row slices of near-equal length covering range(n), each at least
+    TILE_ROWS long unless n itself is shorter."""
+    q = max(1, n // TILE_ROWS)
+    return [slice(i * n // q, (i + 1) * n // q) for i in range(q)]
+
+
+def decode(z: Tensor, nodes: dict, config: ModelConfig, with_mask: bool):
+    """(mean_x, std_x, p_m) at the latent rows z; p_m is None without the mask.
+
+    When z needs no gradient, the decoders run over row tiles of z (see
+    TILE_ROWS) and their outputs are stitched into constants; training keeps
+    one pass over all of z, recorded on the tape.
+    """
+    if z.requires_grad:
+        mean_x, std_x = decode_data(z, nodes, config)
+        return mean_x, std_x, (mask_probabilities(z, mean_x, nodes, config)
+                               if with_mask else None)
+    n, d = z.shape[0], nodes["dec_x.bmean"].shape[1]
+    out = np.empty((3 if with_mask else 2, n, d))
+    for rows in _tiles(n):
+        zt = ad.constant(z.value[rows])
+        parts = decode_data(zt, nodes, config)
+        if with_mask:
+            parts += (mask_probabilities(zt, parts[0], nodes, config),)
+        for stitched, part in zip(out, parts):
+            stitched[rows] = part.value
+    return (ad.constant(out[0]), ad.constant(out[1]),
+            ad.constant(out[2]) if with_mask else None)
+
+
 @dataclass
 class LatentBatch:
     """K reparameterized posterior draws per row, flattened to (n*k, dim)."""
@@ -309,7 +349,7 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
     x_rep = np.repeat(zero_impute(data), k, axis=0)
     m_rep = np.repeat(data.mask, k, axis=0)
 
-    mean_x, std_x = decode_data(latent.z, nodes, config)
+    mean_x, std_x, p_m = decode(latent.z, nodes, config, alpha != 0.0)
     ld = ad.gaussian_log_density(x_rep, mean_x, std_x)
     data_term = ad.sum_axis(ad.mul_const(ld, m_rep), 1)
 
@@ -318,23 +358,22 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
     posterior = ad.sum_axis(ad.gaussian_log_density(
         latent.z, latent.mean_rep, latent.std_rep), 1)
 
+    # views, not copies: no tensor value is written in place (see autodiff)
     components = {
-        "data": data_term.value.reshape(n, k).copy(),
-        "prior": prior.value.reshape(n, k).copy(),
-        "neg_posterior": -posterior.value.reshape(n, k).copy(),
+        "data": data_term.value.reshape(n, k),
+        "prior": prior.value.reshape(n, k),
+        "neg_posterior": -posterior.value.reshape(n, k),
     }
     total = ad.sub(ad.add(data_term, prior), posterior)
-    p_m = None
-    if alpha != 0.0:
-        p_m = mask_probabilities(latent.z, mean_x, nodes, config)
+    if p_m is not None:
         mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(m_rep, p_m), 1), alpha)
-        components["mask"] = mask_term.value.reshape(n, k).copy()
+        components["mask"] = mask_term.value.reshape(n, k)
         total = ad.add(total, mask_term)
     else:
         components["mask"] = np.zeros((n, k))
 
     node = ad.reshape(total, (n, k))
-    log_w = node.value.copy()
+    log_w = node.value
     for name, comp in components.items():
         if not np.all(np.isfinite(comp)):
             raise NumericError(f"non-finite importance-weight component: {name}")
@@ -525,8 +564,10 @@ def save_checkpoint(path, params: ParamBlocks, config: ModelConfig) -> None:
 
 def load_checkpoint(path):
     """Returns (params, config); bit-exact inverse of save_checkpoint.
-    Never unpickles, so a crafted file cannot run code. Every block must
-    have the name and shape that ``param_shapes`` gives for the config."""
+    Never unpickles, so a crafted file cannot run code. Every block must be
+    float64 with the name and shape that ``param_shapes`` gives for the
+    config. A malformed file raises ConsistencyError naming the entry,
+    block or config key."""
     with np.load(path, allow_pickle=False) as f:
         try:
             version = int(f["format_version"])
@@ -535,8 +576,19 @@ def load_checkpoint(path):
             raw = json.loads(str(f["config_json"][()]))
             order = [str(x) for x in f["param_order"]]
             blocks = {name: f[f"param:{name}"] for name in order}
+        except KeyError as e:  # numpy's message names the missing entry
+            raise ConsistencyError(f"checkpoint {path}: {e.args[0]}") from e
         except ValueError as e:  # object arrays need pickle; malformed JSON
             raise ConsistencyError(f"checkpoint {path} is not a valid mnarkit checkpoint: {e}") from e
+    for name, block in blocks.items():
+        if block.dtype != np.float64:
+            raise ConsistencyError(f"checkpoint {path}: block {name} has dtype {block.dtype}, "
+                                   "not float64")
+    if not isinstance(raw, dict):
+        raise ConsistencyError(f"checkpoint {path}: config_json is not a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConsistencyError(f"checkpoint {path}: config_json has unknown key {unknown[0]}")
     params, config = ParamBlocks(blocks), ModelConfig(**raw)
     _check_blocks(path, params, config)
     return params, config

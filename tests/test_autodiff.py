@@ -316,6 +316,60 @@ class TestTape:
             want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
         assert np.array_equal(_bits(ad._logistic(x)), _bits(want))
 
+    def test_tanh_gradient_is_bit_equal_at_saturation(self):
+        x0 = np.array([[0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 19.0, -19.0, 40.0, -800.0]]).T
+        w0, b0 = np.ones((1, 3)), np.array([[0.0, -0.0, 0.25]])
+        g = rng.standard_normal((10, 3))
+
+        def run(layer):
+            x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
+            out = layer(x, w, b)
+            backward(ad.sum_all(ad.mul_const(out, g)))
+            return out.value, x.grad, w.grad, b.grad
+
+        fused = run(lambda x, w, b: ad.dense(x, w, b, "tanh"))
+        composed = run(lambda x, w, b: ad.tanh(ad.add(ad.matmul(x, w), b)))
+        for got, want in zip(fused, composed):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    @pytest.mark.parametrize("m, n", [(7, 5), (1, 4), (6, 1), (1, 1)])
+    def test_outer_product_matmul_is_bit_equal_to_blas(self, m, n):
+        # ±0 operands: a plain multiply yields -0.0 where BLAS yields +0.0
+        vals = np.array([0.0, -0.0, 1.5, -2.0, -1e-200, 1e-200, 3.0])
+        a0 = np.resize(vals, m).reshape(m, 1)
+        b0 = np.resize(vals[::-1], n).reshape(1, n)
+        g = rng.standard_normal((m, n))
+        a, b = Tensor(a0), Tensor(b0)
+        out = ad.matmul(a, b)
+        assert np.array_equal(_bits(out.value), _bits(a0 @ b0))
+        backward(ad.sum_all(ad.mul_const(out, g)))
+        assert np.array_equal(_bits(a.grad), _bits(g @ b0.T))
+        assert np.array_equal(_bits(b.grad), _bits(a0.T @ g))
+
+    def test_std_head_is_one_node_bit_equal_to_the_composition(self):
+        # below the floor (softplus underflows to 0), inside, and above the cap
+        pre0 = np.array([[-800.0, -40.0, -6.0, -0.0, 0.0, 0.3, 5.0, 999.0, 1000.0, 1e4]])
+        g = rng.standard_normal(pre0.shape)
+
+        def old_std_head(pre):
+            s = ad.add_const(ad.softplus(pre), ad.STD_FLOOR)
+            inside = (s.value > ad.STD_FLOOR) & (s.value < ad.STD_CAP)
+            return Tensor(np.clip(s.value, ad.STD_FLOOR, ad.STD_CAP), (s,),
+                          lambda g: s._accumulate(g * inside))
+
+        def run(head):
+            pre = Tensor(pre0)
+            out = head(pre)
+            backward(ad.sum_all(ad.mul_const(out, g)))
+            return out, pre.grad
+
+        (fused, fused_grad), (old, old_grad) = run(ad.std_head), run(old_std_head)
+        assert fused._parents[0]._parents == ()
+        assert np.array_equal(_bits(fused.value), _bits(old.value))
+        assert np.array_equal(_bits(fused_grad), _bits(old_grad))
+        assert fused.value.min() == ad.STD_FLOOR and fused.value.max() == ad.STD_CAP
+        assert np.count_nonzero(fused_grad == 0.0) == 3
+
     def test_dense_rejects_unknown_activation(self):
         with pytest.raises(DomainError):
             ad.dense(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2))),

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -427,6 +429,71 @@ class TestImpute:
             assert not weights.node.requires_grad
 
 
+# the benchmark's two configurations, both at latent_dim=1 and hidden (128, 128)
+BENCH_CONFIGS = {
+    "parallel-d4": (4, dict(encoder="zero_impute", structure="parallel")),
+    "serial-d32": (32, dict(encoder="set_function", structure="serial")),
+}
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestTiledDecode:
+    @pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 9000, 32000])
+    def test_tiles_cover_the_rows_and_keep_the_minimum(self, n):
+        tiles = core._tiles(n)
+        assert tiles[0].start == 0 and tiles[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+        lengths = [t.stop - t.start for t in tiles]
+        assert min(lengths) >= min(n, core.TILE_ROWS)
+        assert max(lengths) - min(lengths) <= 1
+
+    @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+    def test_tiled_equals_untiled_bitwise(self, monkeypatch, name):
+        d, overrides = BENCH_CONFIGS[name]
+        data, _, _ = toy_dataset(n=60, d=d)
+        cfg = core.ModelConfig(iterations=3, seed=1, **overrides)
+        params, _ = core.train(data, cfg)
+        # 9 rows x 1000 draws: more latent rows than one tile, not a multiple of it
+        sub = IncompleteMatrix(data.values[:9], data.mask[:9])
+        noise = make_rng(4).standard_normal((9 * 1000, 1))
+        calls = []
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data",
+                            lambda z, *args: calls.append(z.shape[0]) or decode_data(z, *args))
+
+        def outputs():
+            res = core.impute(sub, params, cfg)
+            draws = core.multiple_impute(sub, params, cfg, 3)
+            return [res.completed, res.prob_mask, *draws,
+                    np.array([core.bound(sub, params, cfg, noise=noise)])]
+
+        tiled = outputs()
+        assert calls == [4500, 4500] * 3
+        monkeypatch.setattr(core, "TILE_ROWS", 10 ** 9)
+        untiled = outputs()
+        assert calls[6:] == [9000] * 3
+        for got, want in zip(tiled, untiled):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_training_keeps_one_pass_on_the_tape(self, monkeypatch):
+        data, _, _ = toy_dataset(n=40)
+        cfg = small_config(latent_dim=1, iterations=4, batch_size=16)
+        calls = []
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data",
+                            lambda z, *args: calls.append(z) or decode_data(z, *args))
+        default, _ = core.train(data, cfg)
+        monkeypatch.setattr(core, "TILE_ROWS", 1)
+        tiny, _ = core.train(data, cfg)
+        assert len(calls) == 2 * cfg.iterations
+        assert all(z.requires_grad and z.shape == (16 * cfg.k_train, 1) for z in calls)
+        for name in default.names:
+            assert np.array_equal(_bits(default[name]), _bits(tiny[name]))
+
+
 class TestMultipleImpute:
     def test_single_latent_always_selected(self):
         data, _, mask = toy_dataset(n=8)
@@ -496,6 +563,36 @@ class TestCheckpoint:
         with pytest.raises(ConsistencyError):
             core.load_checkpoint(path)
         assert _TRAP_SPRUNG == []
+
+
+    def _edited(self, tmp_path, edit):
+        cfg = small_config()
+        path = tmp_path / "model.npz"
+        core.save_checkpoint(path, core.init_params(cfg, 3), cfg)
+        data = dict(np.load(path))
+        edit(data)
+        np.savez(path, **data)
+        return path
+
+    def test_listed_block_missing_from_the_archive(self, tmp_path):
+        path = self._edited(tmp_path, lambda data: data.pop("param:dec_x.W1"))
+        with pytest.raises(ConsistencyError, match=r"param:dec_x\.W1"):
+            core.load_checkpoint(path)
+
+    def test_unicode_string_block(self, tmp_path):
+        path = self._edited(tmp_path, lambda data: data.update(
+            {"param:enc.b0": np.full((1, 8), "0.0")}))
+        with pytest.raises(ConsistencyError, match=r"block enc\.b0 has dtype <U3"):
+            core.load_checkpoint(path)
+
+    def test_unknown_config_key(self, tmp_path):
+        def add_key(data):
+            raw = json.loads(str(data["config_json"]))
+            data["config_json"] = np.array(json.dumps({**raw, "dropout": 0.1}))
+
+        path = self._edited(tmp_path, add_key)
+        with pytest.raises(ConsistencyError, match="unknown key dropout"):
+            core.load_checkpoint(path)
 
 
 _TRAP_SPRUNG = []
