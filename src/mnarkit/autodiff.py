@@ -263,16 +263,6 @@ def softplus(a: Tensor) -> Tensor:
                   lambda g: a._accumulate(g * _logistic(a.value)))
 
 
-def activate(a: Tensor, kind: str) -> Tensor:
-    if kind == "tanh":
-        return tanh(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "softplus":
-        return softplus(a)
-    raise DomainError(f"unknown activation kind {kind!r}")
-
-
 def std_head(pre: Tensor) -> Tensor:
     """Standard-deviation head: softplus plus STD_FLOOR, clipped to
     [STD_FLOOR, STD_CAP] with a zero gradient outside.

@@ -48,8 +48,6 @@ def _model_config(args, file_cfg: dict) -> core.ModelConfig:
         current = getattr(defaults, key)
         if key == "hidden_sizes":
             parsed[key] = tuple(int(t) for t in raw.split(",") if t.strip())
-        elif isinstance(current, bool):
-            parsed[key] = raw.lower() in ("1", "true", "yes")
         elif isinstance(current, int):
             parsed[key] = int(raw)
         elif isinstance(current, float):

@@ -3,7 +3,6 @@
 Matrix CSV: header row of feature names, one row per sample, empty cell =
 missing (the tokens ``NA``/``nan`` are accepted on read, never written);
 any other cell must be a finite number.
-Triplet CSV: columns user_id,item_id,rating with integer star ratings.
 Config files are flat ``key = value`` lines with ``#`` comments; nested
 settings use dotted keys (e.g. ``missing.kind``).
 """
@@ -16,9 +15,7 @@ import math
 import numpy as np
 
 from .errors import ParseError
-from .evaluate import rating_transform
 from .masking import IncompleteMatrix
-from .synth import make_rng
 
 MISSING_TOKENS = {"", "na", "nan"}
 
@@ -83,55 +80,6 @@ def load_complete_csv(path):
     if not np.all(data.mask == 1):
         raise ParseError(f"{path}: expected a complete matrix, found missing cells")
     return data.values, names
-
-
-def load_triplets(path, n_users: int, n_items: int, r_max: int = 5,
-                  mode: str = "train", seed: int = 0) -> IncompleteMatrix:
-    """user x item matrix from (user_id, item_id, rating) rows.
-
-    Ratings are transformed to (0, 1]; in train mode each entry gets its own
-    noise offset drawn from N(0, 0.1), in test mode the offset is 0.
-    """
-    if mode not in ("train", "test"):
-        raise ParseError(f"mode must be 'train' or 'test', got {mode!r}")
-    rng = make_rng(seed)
-    values = np.zeros((n_users, n_items))
-    mask = np.zeros((n_users, n_items))
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        rows = list(reader)
-    start = 0
-    if rows and rows[0] and not _is_int(rows[0][0]):
-        start = 1  # optional header
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if not row:
-            continue
-        if len(row) != 3:
-            raise ParseError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
-        try:
-            u, it, r = int(row[0]), int(row[1]), int(row[2])
-        except ValueError:
-            raise ParseError(f"{path}: row {i}: non-integer field") from None
-        if not 0 <= u < n_users:
-            raise ParseError(f"{path}: row {i}: user id {u} out of range")
-        if not 0 <= it < n_items:
-            raise ParseError(f"{path}: row {i}: item id {it} out of range")
-        if not 1 <= r <= r_max:
-            raise ParseError(f"{path}: row {i}: rating {r} out of range [1, {r_max}]")
-        if mask[u, it] == 1:
-            raise ParseError(f"{path}: row {i}: duplicate (user, item) pair ({u}, {it})")
-        eps = rng.normal(0.0, np.sqrt(0.1)) if mode == "train" else 0.0
-        values[u, it] = rating_transform(r, r_max, eps)
-        mask[u, it] = 1.0
-    return IncompleteMatrix(values, mask)
-
-
-def _is_int(token: str) -> bool:
-    try:
-        int(token)
-        return True
-    except ValueError:
-        return False
 
 
 def parse_config_file(path) -> dict:

@@ -11,6 +11,7 @@ dense+sigmoid head on the decoded data mean (selection-model baseline).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -21,10 +22,18 @@ from .errors import ConsistencyError, DomainError, NumericError, ShapeError
 from .masking import IncompleteMatrix, zero_impute
 from .synth import make_rng
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 ENCODER_VARIANTS = ("zero_impute", "set_function")
 STRUCTURES = ("parallel", "serial")
+
+# ModelConfig annotation (a string, see the __future__ import) -> the types
+# its field accepts; a bool is never accepted as a number
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (tuple, list)}
+
+
+def _strict_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -44,30 +53,33 @@ class ModelConfig:
     set_code_size: int = 50
     seed: int = 0
     structure: str = "parallel"
-    mean_activation: str = "linear"   # "sigmoid" for rating-scaled outputs
-    mean_scale: float = 1.0
     trace_interval: int = 100
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+                raise DomainError(f"{f.name} must be of type {f.type}, got {value!r}")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
-        for name in ("latent_dim", "k_train", "l_impute", "batch_size", "trace_interval"):
+        if not self.hidden_sizes or not all(_strict_int(h) and h >= 1 for h in self.hidden_sizes):
+            raise DomainError("hidden_sizes must be a non-empty sequence of ints >= 1, "
+                              f"got {self.hidden_sizes}")
+        for name in ("latent_dim", "k_train", "l_impute", "batch_size", "set_embedding_size",
+                     "set_code_size", "trace_interval"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not self.hidden_sizes or min(self.hidden_sizes) < 1:
-            raise DomainError(f"hidden_sizes must be non-empty and >= 1, got {self.hidden_sizes}")
         if self.iterations < 0:
             raise DomainError(f"iterations must be >= 0, got {self.iterations}")
-        for name in ("learning_rate", "mean_scale"):
-            if not getattr(self, name) > 0:
-                raise DomainError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.alpha < 0:
-            raise DomainError("alpha must be >= 0")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+        if not 0 < self.learning_rate < math.inf:
+            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.alpha < math.inf:
+            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.encoder not in ENCODER_VARIANTS:
             raise DomainError(f"unknown encoder variant {self.encoder!r}")
         if self.structure not in STRUCTURES:
             raise DomainError(f"unknown structure {self.structure!r}")
-        if self.mean_activation not in ("linear", "sigmoid"):
-            raise DomainError(f"unknown mean activation {self.mean_activation!r}")
 
 
 class ParamBlocks:
@@ -222,8 +234,6 @@ def decode_data(z: Tensor, nodes: dict, config: ModelConfig):
     for i in range(len(config.hidden_sizes)):
         h = ad.dense(h, nodes[f"dec_x.W{i}"], nodes[f"dec_x.b{i}"], "tanh")
     mean = ad.dense(h, nodes["dec_x.Wmean"], nodes["dec_x.bmean"])
-    if config.mean_activation == "sigmoid":
-        mean = ad.scale(ad.sigmoid(mean), config.mean_scale)
     std = ad.std_head(ad.dense(h, nodes["dec_x.Wstd"], nodes["dec_x.bstd"]))
     return mean, std
 
@@ -334,22 +344,19 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
 
 
 def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
-                           nodes: dict, config: ModelConfig,
-                           alpha: float | None = None) -> ImportanceWeightSet:
+                           nodes: dict, config: ModelConfig) -> ImportanceWeightSet:
     """log w = observed-data term + alpha * mask term + prior - posterior.
 
     The data term sums Gaussian log-densities over observed entries only;
     the mask term sums Bernoulli log-densities over all entries. With
     alpha=0 the mask model contributes exactly nothing (term and gradient).
     """
-    if alpha is None:
-        alpha = config.alpha
     n, d = data.shape
     k = latent.k
     x_rep = np.repeat(zero_impute(data), k, axis=0)
     m_rep = np.repeat(data.mask, k, axis=0)
 
-    mean_x, std_x, p_m = decode(latent.z, nodes, config, alpha != 0.0)
+    mean_x, std_x, p_m = decode(latent.z, nodes, config, config.alpha != 0.0)
     ld = ad.gaussian_log_density(x_rep, mean_x, std_x)
     data_term = ad.sum_axis(ad.mul_const(ld, m_rep), 1)
 
@@ -366,7 +373,7 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
     }
     total = ad.sub(ad.add(data_term, prior), posterior)
     if p_m is not None:
-        mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(m_rep, p_m), 1), alpha)
+        mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(m_rep, p_m), 1), config.alpha)
         components["mask"] = mask_term.value.reshape(n, k)
         total = ad.add(total, mask_term)
     else:
@@ -403,6 +410,8 @@ def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
     """
     nodes = _nodes(params, requires_grad=False)
     if noise is None:
+        if rng is None:
+            raise DomainError("bound needs rng or noise")
         n = data.shape[0]
         noise = rng.standard_normal((n * config.k_train, config.latent_dim))
     node, _ = _bound_node(data, nodes, config, np.asarray(noise, dtype=np.float64))
@@ -484,6 +493,8 @@ def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConf
     std_x, p_m), the last three shaped (rows, L, d) and p_m None at alpha=0.
     The caller may draw from rng between chunks.
     """
+    if not _strict_int(chunk_rows) or chunk_rows < 1:
+        raise DomainError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
     if params.n_features != data.shape[1]:
         raise ConsistencyError(
             f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
@@ -589,7 +600,11 @@ def load_checkpoint(path):
     unknown = sorted(set(raw) - {f.name for f in fields(ModelConfig)})
     if unknown:
         raise ConsistencyError(f"checkpoint {path}: config_json has unknown key {unknown[0]}")
-    params, config = ParamBlocks(blocks), ModelConfig(**raw)
+    try:
+        config = ModelConfig(**raw)
+    except DomainError as e:
+        raise ConsistencyError(f"checkpoint {path}: config_json: {e}") from e
+    params = ParamBlocks(blocks)
     _check_blocks(path, params, config)
     return params, config
 

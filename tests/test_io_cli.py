@@ -61,45 +61,6 @@ class TestMatrixCsv:
         assert np.array_equal(back.values[obs], data.values[obs])
 
 
-class TestTriplets:
-    def test_single_max_rating(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("0,0,5\n")
-        data = io.load_triplets(p, n_users=2, n_items=3, r_max=5, mode="test")
-        assert data.values[0, 0] == 1.0
-        assert data.mask.sum() == 1
-
-    def test_duplicate_pair_rejected(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("0,0,5\n0,0,4\n")
-        with pytest.raises(ParseError, match="duplicate"):
-            io.load_triplets(p, 2, 2)
-
-    def test_out_of_range_ids(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("5,0,3\n")
-        with pytest.raises(ParseError, match="out of range"):
-            io.load_triplets(p, 2, 2)
-        p.write_text("0,0,9\n")
-        with pytest.raises(ParseError, match="rating"):
-            io.load_triplets(p, 2, 2)
-
-    def test_train_mode_noise_reproducible(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("0,0,3\n1,1,4\n")
-        a = io.load_triplets(p, 2, 2, mode="train", seed=7)
-        b = io.load_triplets(p, 2, 2, mode="train", seed=7)
-        assert np.array_equal(a.values, b.values)
-        c = io.load_triplets(p, 2, 2, mode="test")
-        assert not np.array_equal(a.values, c.values)
-
-    def test_header_skipped(self, tmp_path):
-        p = tmp_path / "t.csv"
-        p.write_text("user_id,item_id,rating\n0,1,2\n")
-        data = io.load_triplets(p, 2, 2, mode="test")
-        assert data.mask[0, 1] == 1
-
-
 class TestConfigFile:
     def test_parse(self, tmp_path):
         p = tmp_path / "c.cfg"

@@ -1,7 +1,10 @@
 import json
+import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mnarkit import autodiff as ad
 from mnarkit import model as core
@@ -30,10 +33,22 @@ class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("hidden_sizes", ()), ("hidden_sizes", (8, 0)), ("trace_interval", 0),
         ("batch_size", 0), ("latent_dim", 0), ("learning_rate", 0.0),
-        ("learning_rate", -1e-3), ("mean_scale", 0.0), ("iterations", -1)])
+        ("learning_rate", -1e-3), ("iterations", -1),
+        ("latent_dim", "x"), ("latent_dim", True), ("k_train", 2.5), ("hidden_sizes", (8.5,)),
+        ("hidden_sizes", 8), ("alpha", None), ("alpha", math.nan), ("alpha", math.inf),
+        ("learning_rate", math.inf), ("seed", -1), ("seed", 2**64), ("set_code_size", 0)])
     def test_bad_value_names_the_field(self, field, value):
         with pytest.raises(DomainError, match=field):
             core.ModelConfig(**{field: value})
+
+    @given(field=st.sampled_from([f.name for f in fields(core.ModelConfig)]),
+           value=st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                              lambda inner: st.lists(inner, max_size=4), max_leaves=8))
+    def test_any_json_value_is_accepted_or_refused_by_name(self, field, value):
+        try:
+            core.ModelConfig(**{field: value})
+        except DomainError as e:
+            assert field in str(e)
 
 
 class TestEncode:
@@ -298,6 +313,12 @@ class TestBound:
                 wins += 1
         assert wins >= trials * 0.95
 
+    def test_without_rng_or_noise_is_refused(self):
+        cfg = small_config()
+        data, _, _ = toy_dataset(n=5)
+        with pytest.raises(DomainError, match="rng or noise"):
+            core.bound(data, core.init_params(cfg, 4), cfg)
+
 
 class TestTrain:
     def test_bound_improves(self):
@@ -391,6 +412,16 @@ class TestImpute:
         with pytest.raises(ConsistencyError):
             core.impute(data, params, cfg)
 
+
+    @pytest.mark.parametrize("chunk_rows", [0, -1, 2.5])
+    def test_bad_chunk_rows_is_refused(self, chunk_rows):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        with pytest.raises(DomainError, match="chunk_rows"):
+            core.impute(data, params, cfg, chunk_rows=chunk_rows)
+        with pytest.raises(DomainError, match="chunk_rows"):
+            core.multiple_impute(data, params, cfg, 2, chunk_rows=chunk_rows)
 
     def test_alpha_zero_reports_uninformative_mask(self):
         data, _, _ = toy_dataset(n=20)
@@ -592,6 +623,26 @@ class TestCheckpoint:
 
         path = self._edited(tmp_path, add_key)
         with pytest.raises(ConsistencyError, match="unknown key dropout"):
+            core.load_checkpoint(path)
+
+    def test_config_value_of_the_wrong_type(self, tmp_path):
+        def stringify(data):
+            raw = json.loads(str(data["config_json"]))
+            data["config_json"] = np.array(json.dumps({**raw, "latent_dim": "1"}))
+
+        path = self._edited(tmp_path, stringify)
+        with pytest.raises(ConsistencyError, match=r"model\.npz: config_json: latent_dim"):
+            core.load_checkpoint(path)
+
+    def test_format_2_is_refused_by_its_version(self, tmp_path):
+        def as_format_2(data):
+            raw = json.loads(str(data["config_json"]))
+            data["format_version"] = np.int64(2)
+            data["config_json"] = np.array(json.dumps(
+                {**raw, "mean_activation": "linear", "mean_scale": 1.0}))
+
+        path = self._edited(tmp_path, as_format_2)
+        with pytest.raises(ConsistencyError, match="unsupported checkpoint version 2"):
             core.load_checkpoint(path)
 
 
