@@ -11,15 +11,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import baselines, evaluate, io, model as core, synth
-from .errors import MnarkitError
+from .errors import DomainError, MnarkitError
 from .masking import compose_observed, feature_stats, standardize_complete
 
-MODEL_KEYS = {f.name for f in core.ModelConfig.__dataclass_fields__.values()}
+# ModelConfig field -> its annotation ("int", "float", "str" or "tuple")
+MODEL_KINDS = {f.name: f.type for f in fields(core.ModelConfig)}
 
 
 def _out_dir(args) -> str:
@@ -34,33 +35,41 @@ def _load_file_config(args) -> dict:
     return {}
 
 
+def _int_list(raw: str) -> tuple:
+    return tuple(int(t) for t in raw.split(",") if t.strip())
+
+
+# annotation -> (parser of a field's text, what the text must be)
+_PARSERS = {"int": (int, "an int"), "float": (float, "a number"), "str": (str, "text"),
+            "tuple": (_int_list, "a comma list of ints")}
+
+
+def _parse(raw: str, kind: str, where: str):
+    """Text -> a value of ``kind``; DomainError names ``where`` (the config
+    key or the flag) when the text does not parse."""
+    parser, wanted = _PARSERS[kind]
+    try:
+        return parser(raw)
+    except ValueError:
+        raise DomainError(f"{where}: cannot read {raw!r} as {wanted}") from None
+
+
 def _model_config(args, file_cfg: dict) -> core.ModelConfig:
     cfg = {}
     for key, value in file_cfg.items():
         if key.startswith("model."):
             cfg[key[len("model."):]] = value
-    unknown = set(cfg) - MODEL_KEYS
+    unknown = set(cfg) - MODEL_KINDS.keys()
     if unknown:
         raise MnarkitError(f"unknown model config keys: {sorted(unknown)}")
-    parsed = {}
-    defaults = core.ModelConfig()
-    for key, raw in cfg.items():
-        current = getattr(defaults, key)
-        if key == "hidden_sizes":
-            parsed[key] = tuple(int(t) for t in raw.split(",") if t.strip())
-        elif isinstance(current, int):
-            parsed[key] = int(raw)
-        elif isinstance(current, float):
-            parsed[key] = float(raw)
-        else:
-            parsed[key] = raw
-    config = core.ModelConfig(**parsed)
+    config = core.ModelConfig(**{key: _parse(raw, MODEL_KINDS[key], f"model.{key}")
+                                 for key, raw in cfg.items()})
     # explicit flags win over the file
-    for key in MODEL_KEYS:
+    for key in MODEL_KINDS:
         flag = getattr(args, key, None)
         if flag is not None:
             if key == "hidden_sizes":
-                flag = tuple(int(t) for t in flag.split(","))
+                flag = _parse(flag, "tuple", "--hidden-sizes")
             config = replace(config, **{key: flag})
     return config
 
@@ -239,7 +248,7 @@ def cmd_bench(args) -> int:
     for m in methods:
         if m not in baselines.METHODS:
             raise MnarkitError(f"unknown method {m!r}")
-    seeds = ([int(s) for s in args.seeds.split(",")] if args.seeds
+    seeds = (list(_parse(args.seeds, "tuple", "--seeds")) if args.seeds
              else list(range(args.n_runs)))
     dataset = evaluate.GaussianDatasetSpec(n=args.n, d=args.d, rho=args.rho)
     report = evaluate.run_experiment(dataset, spec, methods, config,

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -257,44 +260,109 @@ def mask_probabilities(z: Tensor, mean_x: Tensor, nodes: dict, config: ModelConf
     return decode_mask_serial(mean_x, nodes)
 
 
-# Latent rows a forward pass without gradients decodes at once. A 32-row
-# chunk at L=1000 is 32000 rows, and each of its 128-wide activations (33 MB)
-# is far larger than the cache. Every tile has at least this many rows: on
-# fewer, OpenBLAS computes a narrow product such as a 128x4 output head with
-# its small-matrix kernel (OpenBLAS 0.3.31: below about 1950 rows), which
-# moves the last bits.
+# Latent rows that one thread scores at once. A 32-row chunk at L=1000 is
+# 32000 rows, and each of its 128-wide activations (33 MB) is far larger
+# than the cache. Every tile has at least this many rows: on fewer, OpenBLAS
+# computes a narrow product such as a 128x4 output head with its
+# small-matrix kernel (OpenBLAS 0.3.31: below about 1950 rows), which moves
+# the last bits.
 TILE_ROWS = 4096
 
 
-def _tiles(n: int) -> list[slice]:
+def _tiles(n: int, workers: int) -> list[slice]:
     """Row slices of near-equal length covering range(n), each at least
-    TILE_ROWS long unless n itself is shorter."""
+    TILE_ROWS long unless n itself is shorter. When there are more than
+    `workers` of them, their number is a multiple of `workers`, so that no
+    thread is left scoring the last tile alone."""
     q = max(1, n // TILE_ROWS)
+    if q > workers:
+        q -= q % workers
     return [slice(i * n // q, (i + 1) * n // q) for i in range(q)]
 
 
-def decode(z: Tensor, nodes: dict, config: ModelConfig, with_mask: bool):
-    """(mean_x, std_x, p_m) at the latent rows z; p_m is None without the mask.
+def _tile_workers() -> int:
+    """Threads that score tiles at once: the CPUs this process may run on
+    divided by the threads each BLAS call takes, read from
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as OpenBLAS reads them.
+    With neither set to a positive int, BLAS already spreads each product
+    over every core, so one thread scores the tiles in turn."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            blas_threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if blas_threads >= 1:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            return max(1, cpus // blas_threads)
+    return 1
 
-    When z needs no gradient, the decoders run over row tiles of z (see
-    TILE_ROWS) and their outputs are stitched into constants; training keeps
-    one pass over all of z, recorded on the tape.
+
+def _score_draws(z: Tensor, lo: int, x: np.ndarray, mask: np.ndarray, k: int,
+                 nodes: dict, config: ModelConfig):
+    """The decoders and the data and mask log-terms (see
+    importance_log_weights) at the latent rows lo..lo+len(z), which hold k
+    draws per data row of x and mask.
+
+    Returns (mean_x, std_x, p_m, data_term, mask_term); p_m and mask_term
+    are None at alpha=0.
     """
-    if z.requires_grad:
-        mean_x, std_x = decode_data(z, nodes, config)
-        return mean_x, std_x, (mask_probabilities(z, mean_x, nodes, config)
-                               if with_mask else None)
-    n, d = z.shape[0], nodes["dec_x.bmean"].shape[1]
-    out = np.empty((3 if with_mask else 2, n, d))
-    for rows in _tiles(n):
-        zt = ad.constant(z.value[rows])
-        parts = decode_data(zt, nodes, config)
-        if with_mask:
-            parts += (mask_probabilities(zt, parts[0], nodes, config),)
-        for stitched, part in zip(out, parts):
-            stitched[rows] = part.value
-    return (ad.constant(out[0]), ad.constant(out[1]),
-            ad.constant(out[2]) if with_mask else None)
+    src = np.arange(lo, lo + z.shape[0]) // k
+    x, mask = x[src], mask[src]
+    mean_x, std_x = decode_data(z, nodes, config)
+    data_term = ad.sum_axis(ad.mul_const(ad.gaussian_log_density(x, mean_x, std_x), mask), 1)
+    if config.alpha == 0.0:
+        return mean_x, std_x, None, data_term, None
+    p_m = mask_probabilities(z, mean_x, nodes, config)
+    mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(mask, p_m), 1), config.alpha)
+    return mean_x, std_x, p_m, data_term, mask_term
+
+
+def _score_tiles(z: np.ndarray, x: np.ndarray, mask: np.ndarray, k: int,
+                 nodes: dict, config: ModelConfig, decoded: bool):
+    """_score_draws over the row tiles of the constant latent rows z (see
+    TILE_ROWS), on _tile_workers() threads, stitched into constants. The
+    decoder outputs are stitched only with `decoded`, else returned as None.
+
+    numpy releases the interpreter lock in BLAS and in ufuncs, so the tiles'
+    arithmetic runs in parallel. Each tile writes its own rows of the
+    outputs, so the bits do not depend on the number of threads. Each thread
+    takes the next unscored tile when it is done with one, so a thread whose
+    core is taken for a while leaves its share to the others instead of
+    holding up the call. The calling thread takes part, so the pool has one
+    thread fewer: each pool thread allocates from a malloc arena of its own.
+    """
+    n, d = z.shape[0], x.shape[1]
+    with_mask = config.alpha != 0.0
+    outs = [np.empty((n, d)) if decoded else None, np.empty((n, d)) if decoded else None,
+            np.empty((n, d)) if decoded and with_mask else None,
+            np.empty((n, 1)), np.empty((n, 1)) if with_mask else None]
+    workers = _tile_workers()
+    tiles = _tiles(n, workers)
+    workers = min(workers, len(tiles))
+    pending = iter(tiles)
+    take = threading.Lock()
+
+    def score():
+        while True:
+            with take:
+                rows = next(pending, None)
+            if rows is None:
+                return
+            parts = _score_draws(ad.constant(z[rows]), rows.start, x, mask, k, nodes, config)
+            for out, part in zip(outs, parts):
+                if out is not None:
+                    out[rows] = part.value
+
+    if workers == 1:
+        score()
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(score) for _ in range(workers - 1)]
+            score()
+            for future in futures:
+                future.result()  # raises the error of a tile scored there
+    return tuple(None if out is None else ad.constant(out) for out in outs)
 
 
 @dataclass
@@ -331,7 +399,8 @@ class ImportanceWeightSet:
     normalized: np.ndarray  # rows sum to 1
     components: dict        # name -> (n, k)
     node: Tensor            # graph handle, shape (n, k)
-    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d); p_m is None at alpha=0
+    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d); p_m is None at alpha=0;
+                            # () when importance_log_weights was asked not to keep them
 
 
 def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
@@ -343,22 +412,23 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
     return w / total
 
 
-def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
-                           nodes: dict, config: ModelConfig) -> ImportanceWeightSet:
+def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: dict,
+                           config: ModelConfig, decoded: bool = True) -> ImportanceWeightSet:
     """log w = observed-data term + alpha * mask term + prior - posterior.
 
     The data term sums Gaussian log-densities over observed entries only;
     the mask term sums Bernoulli log-densities over all entries. With
     alpha=0 the mask model contributes exactly nothing (term and gradient).
+    With decoded=False the decoder outputs are left out of the result, so a
+    pass without gradients does not keep them.
     """
-    n, d = data.shape
-    k = latent.k
-    x_rep = np.repeat(zero_impute(data), k, axis=0)
-    m_rep = np.repeat(data.mask, k, axis=0)
-
-    mean_x, std_x, p_m = decode(latent.z, nodes, config, config.alpha != 0.0)
-    ld = ad.gaussian_log_density(x_rep, mean_x, std_x)
-    data_term = ad.sum_axis(ad.mul_const(ld, m_rep), 1)
+    n, k = data.shape[0], latent.k
+    x = zero_impute(data)
+    if latent.z.requires_grad:  # training: one pass, recorded on the tape
+        parts = _score_draws(latent.z, 0, x, data.mask, k, nodes, config)
+    else:
+        parts = _score_tiles(latent.z.value, x, data.mask, k, nodes, config, decoded)
+    mean_x, std_x, p_m, data_term, mask_term = parts
 
     prior = ad.sum_axis(ad.gaussian_log_density(
         latent.z, np.zeros((1, 1)), np.ones((1, 1))), 1)
@@ -372,8 +442,7 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
         "neg_posterior": -posterior.value.reshape(n, k),
     }
     total = ad.sub(ad.add(data_term, prior), posterior)
-    if p_m is not None:
-        mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(m_rep, p_m), 1), config.alpha)
+    if mask_term is not None:
         components["mask"] = mask_term.value.reshape(n, k)
         total = ad.add(total, mask_term)
     else:
@@ -387,7 +456,7 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch,
     return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w),
                                components=components, node=node,
                                decoded=(mean_x.value, std_x.value,
-                                        None if p_m is None else p_m.value))
+                                        None if p_m is None else p_m.value) if decoded else ())
 
 
 def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
@@ -396,7 +465,7 @@ def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
     k = noise.shape[0] // n
     mean_z, std_z = encode(data, nodes, config)
     latent = sample_latent(mean_z, std_z, k, noise=noise)
-    weights = importance_log_weights(data, latent, nodes, config)
+    weights = importance_log_weights(data, latent, nodes, config, decoded=False)
     per_row = ad.add_const(ad.log_sum_exp(weights.node, axis=1), -np.log(k))
     return ad.mean_all(per_row), weights
 

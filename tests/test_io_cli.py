@@ -196,3 +196,14 @@ class TestCli:
                          "--methods", "conjunction,bogus", *FAST])
         assert code == 1
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "model.latent_dim"),
+        (["train", "--data", "observed.csv", "--hidden-sizes", "8,x"], "--hidden-sizes"),
+        (["bench", "--seeds", "1,x"], "--seeds")])
+    def test_unreadable_number_exits_1_naming_it(self, tmp_path, capsys, argv, named):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("model.latent_dim = x\n")
+        argv = [a.replace("{cfg}", str(cfgfile)) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {named}: cannot read ")

@@ -1,5 +1,8 @@
+import itertools
 import json
 import math
+import sys
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -9,7 +12,7 @@ from hypothesis import given, strategies as st
 from mnarkit import autodiff as ad
 from mnarkit import model as core
 from mnarkit.autodiff import Tensor, backward
-from mnarkit.errors import ConsistencyError, DomainError
+from mnarkit.errors import ConsistencyError, DomainError, NumericError
 from mnarkit.masking import IncompleteMatrix, compose_observed, feature_stats, standardize_complete
 from mnarkit.synth import equicorrelated_cov, gaussian_synth, make_rng, self_mask
 
@@ -451,10 +454,13 @@ class TestImpute:
         built = []
         weights_of = core.importance_log_weights
         monkeypatch.setattr(core, "importance_log_weights",
-                            lambda *args: built.append(weights_of(*args)) or built[-1])
+                            lambda *args, **kwargs: built.append(weights_of(*args, **kwargs))
+                            or built[-1])
         core.impute(data, params, cfg, chunk_rows=8)
         core.bound(data, params, cfg, rng=make_rng(1))
         assert len(built) == 4
+        # imputation reads the decoder outputs; bound does not keep them
+        assert all(len(w.decoded) == 3 for w in built[:3]) and built[3].decoded == ()
         for weights in built:
             assert weights.node._parents == ()
             assert not weights.node.requires_grad
@@ -472,14 +478,19 @@ def _bits(a):
 
 
 class TestTiledDecode:
-    @pytest.mark.parametrize("n", [1, 4095, 4096, 8191, 8192, 9000, 32000])
+    @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 8191, 8192, 9000, 32000])
     def test_tiles_cover_the_rows_and_keep_the_minimum(self, n):
-        tiles = core._tiles(n)
-        assert tiles[0].start == 0 and tiles[-1].stop == n
-        assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
-        lengths = [t.stop - t.start for t in tiles]
-        assert min(lengths) >= min(n, core.TILE_ROWS)
-        assert max(lengths) - min(lengths) <= 1
+        for workers in (1, 2, 5):
+            tiles = core._tiles(n, workers)
+            assert tiles[0].start == 0 and tiles[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
+            lengths = [t.stop - t.start for t in tiles]
+            assert min(lengths) >= min(n, core.TILE_ROWS)
+            # as many tiles as fit, less at most workers - 1, so that every
+            # thread has as many when there are more tiles than threads
+            assert n // core.TILE_ROWS - workers < len(tiles) <= max(1, n // core.TILE_ROWS)
+            assert len(tiles) <= workers or len(tiles) % workers == 0
+            assert max(lengths) - min(lengths) <= 1
 
     @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
     def test_tiled_equals_untiled_bitwise(self, monkeypatch, name):
@@ -502,10 +513,11 @@ class TestTiledDecode:
                     np.array([core.bound(sub, params, cfg, noise=noise)])]
 
         tiled = outputs()
-        assert calls == [4500, 4500] * 3
+        lengths = [t.stop - t.start for t in core._tiles(9000, core._tile_workers())]
+        assert len(lengths) > 1 and calls == lengths * 3
         monkeypatch.setattr(core, "TILE_ROWS", 10 ** 9)
         untiled = outputs()
-        assert calls[6:] == [9000] * 3
+        assert calls[3 * len(lengths):] == [9000] * 3
         for got, want in zip(tiled, untiled):
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -523,6 +535,77 @@ class TestTiledDecode:
         assert all(z.requires_grad and z.shape == (16 * cfg.k_train, 1) for z in calls)
         for name in default.names:
             assert np.array_equal(_bits(default[name]), _bits(tiny[name]))
+
+
+
+class TestTileThreads:
+    @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
+    def test_outputs_do_not_depend_on_the_worker_count(self, monkeypatch, name):
+        d, overrides = BENCH_CONFIGS[name]
+        data, _, _ = toy_dataset(n=60, d=d)
+        cfg = core.ModelConfig(iterations=3, seed=1, **overrides)
+        params, _ = core.train(data, cfg)
+        # 20 rows x 1000 draws: four tiles, more than one per thread
+        sub = IncompleteMatrix(data.values[:20], data.mask[:20])
+        noise = make_rng(4).standard_normal((20 * 1000, 1))
+        threads = set()
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data", lambda *args: threads.add(
+            threading.get_ident()) or decode_data(*args))
+
+        def outputs(workers):
+            monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+            res = core.impute(sub, params, cfg)
+            draws = core.multiple_impute(sub, params, cfg, 3)
+            return [res.completed, res.prob_mask, *draws,
+                    np.array([core.bound(sub, params, cfg, noise=noise)])]
+
+        serial = outputs(1)
+        assert threads == {threading.get_ident()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (2, 5):
+                for got, want in zip(outputs(workers), serial):
+                    assert np.array_equal(_bits(got), _bits(want))
+        finally:
+            sys.setswitchinterval(interval)
+        # a thread takes the next tile when it is free, so which thread
+        # scores which tile varies; idents of finished threads may be reused
+        assert threads - {threading.get_ident()}
+
+    @pytest.mark.parametrize("env, workers", [
+        ({}, 1), ({"OPENBLAS_NUM_THREADS": "1"}, 4), ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "8"}, 1), ({"OPENBLAS_NUM_THREADS": "x"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0"}, 1), ({"OMP_NUM_THREADS": "2"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4)])
+    def test_workers_are_the_cpus_over_the_blas_threads(self, monkeypatch, env, workers):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert core._tile_workers() == workers
+
+    def test_a_tile_error_comes_out_unchanged(self, monkeypatch):
+        data, _, _ = toy_dataset(n=9)
+        cfg = small_config(latent_dim=1, l_impute=1000)
+        params = core.init_params(cfg, 4)
+        error = NumericError("raised in the second tile")
+        calls = itertools.count()
+        decode_data = core.decode_data
+
+        def failing(*args):
+            if next(calls) == 1:
+                raise error
+            return decode_data(*args)
+
+        monkeypatch.setattr(core, "decode_data", failing)
+        monkeypatch.setattr(core, "_tile_workers", lambda: 2)
+        with pytest.raises(NumericError) as info:
+            core.impute(data, params, cfg, chunk_rows=9)
+        assert info.value is error
 
 
 class TestMultipleImpute:
