@@ -21,6 +21,16 @@ caller may keep a view of one without copying it.
 A product with an inner dimension of 1, such as a decoder's first layer at
 ``latent_dim=1``, is an outer product: :func:`matmul` computes it without
 BLAS, bit-equal to the BLAS call it replaces, signs of zeros included.
+
+:func:`branch` builds a part of the graph that depends on one tensor ``x``
+and on parameters nothing else reads, such as the mask decoder, as a
+sub-tape of its own, which may run on another thread. On the outer tape it
+is one node with ``x`` as its only parent. :func:`backward` starts the
+sub-tape's backward pass as soon as the branch node's gradient is complete,
+and adds the sub-tape's gradient into ``x`` when its serial order reaches
+the branch node. That is where the same graph built inline would have added
+it, so ``x.grad`` sums its contributions in the same order and has the same
+bits whichever thread ran the sub-tape.
 """
 
 from __future__ import annotations
@@ -86,8 +96,16 @@ def backward(result: Tensor) -> None:
     """
     if result.value.size != 1:
         raise ShapeError(f"backward() needs a scalar result, got shape {result.value.shape}")
+    _run_tape(result, np.ones_like(result.value))
+
+
+def _run_tape(result: Tensor, grad: np.ndarray) -> None:
+    """Backpropagate ``grad`` from ``result`` through the nodes it depends on,
+    each after all of its consumers, starting the sub-tape of each branch
+    node once its consumers have run (see branch)."""
     order = []
     seen = set()
+    consumers = {}  # id of a branch node -> its consumers not yet run
     stack = [(result, False)]
     while stack:
         node, expanded = stack.pop()
@@ -99,11 +117,74 @@ def backward(result: Tensor) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
+            if type(p._backward) is _SubTape:
+                consumers[id(p)] = consumers.get(id(p), 0) + 1
             stack.append((p, False))
-    result.grad = np.ones_like(result.value)
+    result.grad = grad
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if consumers:
+            for p in node._parents:
+                if id(p) in consumers:
+                    consumers[id(p)] -= 1
+                    if consumers[id(p)] == 0 and p.grad is not None:
+                        p._backward.start(p.grad)
+
+
+class _SubTape:
+    """The backward closure of a branch node: the sub-tape from ``leaf`` to
+    ``out``, backpropagated on ``pool`` once started, else at its turn, and
+    then freed, by the thread that ran it."""
+
+    __slots__ = ("out", "leaf", "x", "pool", "pending")
+
+    def __init__(self, out: Tensor, leaf: Tensor, x: Tensor, pool):
+        self.out, self.leaf, self.x, self.pool = out, leaf, x, pool
+        self.pending = None
+
+    def _run(self, g):
+        out, self.out = self.out, None
+        _run_tape(out, g)
+
+    def start(self, g):
+        if self.pool is not None:
+            self.pending = self.pool.submit(self._run, g)
+
+    def __call__(self, g):
+        if self.pending is None:
+            self._run(g)
+        else:
+            self.pending.result()  # raises the error of the sub-tape's backward
+        if self.leaf.grad is not None:
+            self.x._accumulate(self.leaf.grad)
+
+
+def branch(fn, x: Tensor, pool=None):
+    """Start ``fn(leaf)`` on a fresh leaf holding ``x``'s value, on ``pool``
+    (a ``concurrent.futures`` executor) or, with None, at once on this thread.
+
+    Returns ``join``: ``join()`` waits for ``fn`` and returns the branch node,
+    whose value is that of fn's result and whose only parent is ``x``. Call
+    it once. ``fn`` may read parameter leaves besides ``leaf`` only if no
+    node outside the branch reads them, since their gradients arrive from
+    the sub-tape's thread. A sub-tape's backward runs on ``pool`` too, so
+    ``fn`` must not itself branch onto a pool it could wait on. The
+    thread that runs the sub-tape's backward frees it right after, so that
+    a pool thread's malloc arena never holds two steps' sub-tapes; it can
+    therefore be backpropagated only once.
+    """
+    if not x.requires_grad:
+        raise DomainError("branch: x must require a gradient")
+    leaf = Tensor(x.value)
+    pending = None if pool is None else pool.submit(fn, leaf)
+    out = fn(leaf) if pending is None else None
+
+    def join() -> Tensor:
+        sub = out if pending is None else pending.result()
+        return Tensor(sub.value, (x,), _SubTape(sub, leaf, x, pool))
+
+    return join
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ dense+sigmoid head on the decoded data mean (selection-model baseline).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -298,31 +299,43 @@ def _tile_workers() -> int:
     return 1
 
 
+def _mask_term(mask: np.ndarray, p_m: Tensor, alpha: float) -> Tensor:
+    return ad.scale(ad.sum_axis(ad.bernoulli_log_density(mask, p_m), 1), alpha)
+
+
 def _score_draws(z: Tensor, lo: int, x: np.ndarray, mask: np.ndarray, k: int,
-                 nodes: dict, config: ModelConfig):
+                 nodes: dict, config: ModelConfig, pool=None):
     """The decoders and the data and mask log-terms (see
     importance_log_weights) at the latent rows lo..lo+len(z), which hold k
     draws per data row of x and mask.
 
     Returns (mean_x, std_x, p_m, data_term, mask_term); p_m and mask_term
-    are None at alpha=0.
+    are None at alpha=0. When z requires a gradient, the parallel mask
+    decoder and its term run as an autodiff branch on ``pool`` (inline with
+    None) while this thread runs the data decoder; p_m is None then too.
     """
     src = np.arange(lo, lo + z.shape[0]) // k
     x, mask = x[src], mask[src]
+    fork = z.requires_grad and config.structure == "parallel" and config.alpha != 0.0
+    if fork:  # the mask branch reads z and no parameter of the data branch
+        join = ad.branch(lambda leaf: _mask_term(mask, decode_mask(leaf, nodes, config),
+                                                 config.alpha), z, pool)
     mean_x, std_x = decode_data(z, nodes, config)
     data_term = ad.sum_axis(ad.mul_const(ad.gaussian_log_density(x, mean_x, std_x), mask), 1)
+    if fork:
+        return mean_x, std_x, None, data_term, join()
     if config.alpha == 0.0:
         return mean_x, std_x, None, data_term, None
     p_m = mask_probabilities(z, mean_x, nodes, config)
-    mask_term = ad.scale(ad.sum_axis(ad.bernoulli_log_density(mask, p_m), 1), config.alpha)
-    return mean_x, std_x, p_m, data_term, mask_term
+    return mean_x, std_x, p_m, data_term, _mask_term(mask, p_m, config.alpha)
 
 
 def _score_tiles(z: np.ndarray, x: np.ndarray, mask: np.ndarray, k: int,
-                 nodes: dict, config: ModelConfig, decoded: bool):
+                 nodes: dict, config: ModelConfig, decoded: tuple):
     """_score_draws over the row tiles of the constant latent rows z (see
-    TILE_ROWS), on _tile_workers() threads, stitched into constants. The
-    decoder outputs are stitched only with `decoded`, else returned as None.
+    TILE_ROWS), on _tile_workers() threads, stitched into constants. Only
+    the decoder outputs named in `decoded` are stitched; the others are
+    returned as None.
 
     numpy releases the interpreter lock in BLAS and in ufuncs, so the tiles'
     arithmetic runs in parallel. Each tile writes its own rows of the
@@ -334,9 +347,9 @@ def _score_tiles(z: np.ndarray, x: np.ndarray, mask: np.ndarray, k: int,
     """
     n, d = z.shape[0], x.shape[1]
     with_mask = config.alpha != 0.0
-    outs = [np.empty((n, d)) if decoded else None, np.empty((n, d)) if decoded else None,
-            np.empty((n, d)) if decoded and with_mask else None,
-            np.empty((n, 1)), np.empty((n, 1)) if with_mask else None]
+    outs = [np.empty((n, d)) if name in decoded and (with_mask or name != "p_m") else None
+            for name in DECODED]
+    outs += [np.empty((n, 1)), np.empty((n, 1)) if with_mask else None]
     workers = _tile_workers()
     tiles = _tiles(n, workers)
     workers = min(workers, len(tiles))
@@ -389,6 +402,10 @@ def sample_latent(mean_z: Tensor, std_z: Tensor, k: int, noise=None, rng=None) -
     return LatentBatch(z=z, mean_rep=mean_rep, std_rep=std_rep, noise=noise, k=k)
 
 
+# the decoder outputs an ImportanceWeightSet may keep, in this order
+DECODED = ("mean_x", "std_x", "p_m")
+
+
 @dataclass
 class ImportanceWeightSet:
     """Per-row, per-draw log-weights, their normalized form, the four
@@ -399,8 +416,8 @@ class ImportanceWeightSet:
     normalized: np.ndarray  # rows sum to 1
     components: dict        # name -> (n, k)
     node: Tensor            # graph handle, shape (n, k)
-    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d); p_m is None at alpha=0;
-                            # () when importance_log_weights was asked not to keep them
+    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d), None where not asked
+                            # for and p_m None at alpha=0; () when none was asked for
 
 
 def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
@@ -413,19 +430,21 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
 
 
 def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: dict,
-                           config: ModelConfig, decoded: bool = True) -> ImportanceWeightSet:
+                           config: ModelConfig, decoded: tuple = DECODED,
+                           pool=None) -> ImportanceWeightSet:
     """log w = observed-data term + alpha * mask term + prior - posterior.
 
     The data term sums Gaussian log-densities over observed entries only;
     the mask term sums Bernoulli log-densities over all entries. With
     alpha=0 the mask model contributes exactly nothing (term and gradient).
-    With decoded=False the decoder outputs are left out of the result, so a
-    pass without gradients does not keep them.
+    Only the decoder outputs named in ``decoded`` (see DECODED) are kept in
+    the result, so a pass without gradients builds no others. A pass with
+    gradients runs its mask branch on ``pool`` (see _score_draws).
     """
     n, k = data.shape[0], latent.k
     x = zero_impute(data)
     if latent.z.requires_grad:  # training: one pass, recorded on the tape
-        parts = _score_draws(latent.z, 0, x, data.mask, k, nodes, config)
+        parts = _score_draws(latent.z, 0, x, data.mask, k, nodes, config, pool)
     else:
         parts = _score_tiles(latent.z.value, x, data.mask, k, nodes, config, decoded)
     mean_x, std_x, p_m, data_term, mask_term = parts
@@ -453,19 +472,20 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: d
     for name, comp in components.items():
         if not np.all(np.isfinite(comp)):
             raise NumericError(f"non-finite importance-weight component: {name}")
+    kept = tuple(None if t is None or name not in decoded else t.value
+                 for name, t in zip(DECODED, (mean_x, std_x, p_m)))
     return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w),
                                components=components, node=node,
-                               decoded=(mean_x.value, std_x.value,
-                                        None if p_m is None else p_m.value) if decoded else ())
+                               decoded=kept if decoded else ())
 
 
 def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
-                noise: np.ndarray) -> tuple[Tensor, ImportanceWeightSet]:
+                noise: np.ndarray, pool=None) -> tuple[Tensor, ImportanceWeightSet]:
     n = data.shape[0]
     k = noise.shape[0] // n
     mean_z, std_z = encode(data, nodes, config)
     latent = sample_latent(mean_z, std_z, k, noise=noise)
-    weights = importance_log_weights(data, latent, nodes, config, decoded=False)
+    weights = importance_log_weights(data, latent, nodes, config, decoded=(), pool=pool)
     per_row = ad.add_const(ad.log_sum_exp(weights.node, axis=1), -np.log(k))
     return ad.mean_all(per_row), weights
 
@@ -495,7 +515,10 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     """Fit by Adam on minibatches; returns (params, trace).
 
     trace is a list of (iteration, bound) pairs sampled every
-    ``trace_interval`` iterations. Deterministic given config.seed.
+    ``trace_interval`` iterations. Deterministic given config.seed, and
+    bit-identical whatever _tile_workers() gives: with two or more, the
+    parallel mask branch of each step, forward and backward, runs on a
+    helper thread (see _score_draws and autodiff.branch).
     """
     rng = make_rng(config.seed)
     n, d = dataset.shape
@@ -504,31 +527,35 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     trace = []
     order = rng.permutation(n)
     pos = 0
-    for it in range(config.iterations):
-        take = min(config.batch_size, n)
-        if pos + take > n:
-            order = rng.permutation(n)
-            pos = 0
-        idx = order[pos:pos + take]
-        pos += take
-        batch = IncompleteMatrix(dataset.values[idx], dataset.mask[idx])
-        noise = rng.standard_normal((take * config.k_train, config.latent_dim))
-        nodes = _nodes(params)
-        try:
-            bound_node, weights = _bound_node(batch, nodes, config, noise)
-        except NumericError as e:
-            raise NumericError(f"iteration {it}: {e}") from e
-        value = float(bound_node.value[0, 0])
-        if not np.isfinite(value):
-            stats = {k: (float(v.min()), float(v.max())) for k, v in weights.components.items()}
-            raise NumericError(f"non-finite bound at iteration {it}; component ranges {stats}")
-        if it % config.trace_interval == 0:
-            trace.append((it, value))
-        loss = ad.scale(bound_node, -1.0)
-        backward(loss)
-        flat, state = adam_step(params.flatten(), _flat_grads(params, nodes),
-                                state, config.learning_rate)
-        params = params.unflatten(flat)
+    # a step has two branches, so one helper thread; it starts on first use
+    with ThreadPoolExecutor(1) if _tile_workers() > 1 else contextlib.nullcontext() as pool:
+        for it in range(config.iterations):
+            take = min(config.batch_size, n)
+            if pos + take > n:
+                order = rng.permutation(n)
+                pos = 0
+            idx = order[pos:pos + take]
+            pos += take
+            batch = IncompleteMatrix(dataset.values[idx], dataset.mask[idx])
+            noise = rng.standard_normal((take * config.k_train, config.latent_dim))
+            nodes = _nodes(params)
+            try:
+                bound_node, weights = _bound_node(batch, nodes, config, noise, pool)
+            except NumericError as e:
+                raise NumericError(f"iteration {it}: {e}") from e
+            value = float(bound_node.value[0, 0])
+            if not np.isfinite(value):
+                stats = {k: (float(v.min()), float(v.max()))
+                         for k, v in weights.components.items()}
+                raise NumericError(f"non-finite bound at iteration {it}; "
+                                   f"component ranges {stats}")
+            if it % config.trace_interval == 0:
+                trace.append((it, value))
+            loss = ad.scale(bound_node, -1.0)
+            backward(loss)
+            flat, state = adam_step(params.flatten(), _flat_grads(params, nodes),
+                                    state, config.learning_rate)
+            params = params.unflatten(flat)
     return params, trace
 
 
@@ -545,22 +572,23 @@ class ImputationResult:
 
 
 def _forward_weights(chunk: IncompleteMatrix, nodes: dict, config: ModelConfig,
-                     l_samples: int, rng):
+                     l_samples: int, rng, decoded: tuple = DECODED):
     """Forward pass for one row chunk: weights, decoded means/stds, mask probs
-    (None at alpha=0)."""
+    (None at alpha=0), each None unless named in ``decoded``."""
     mean_z, std_z = encode(chunk, nodes, config)
     latent = sample_latent(mean_z, std_z, l_samples, rng=rng)
-    weights = importance_log_weights(chunk, latent, nodes, config)
+    weights = importance_log_weights(chunk, latent, nodes, config, decoded)
     return (weights, *weights.decoded)
 
 
 def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
-                  rng, chunk_rows: int):
+                  rng, chunk_rows: int, decoded: tuple):
     """One forward pass per row chunk of l_impute latent draws.
 
     Yields (row slice, missing mask, normalized weights (rows, L), mean_x,
-    std_x, p_m), the last three shaped (rows, L, d) and p_m None at alpha=0.
-    The caller may draw from rng between chunks.
+    std_x, p_m), the last three shaped (rows, L, d), each None unless named
+    in ``decoded``, and p_m None at alpha=0. The caller may draw from rng
+    between chunks.
     """
     if not _strict_int(chunk_rows) or chunk_rows < 1:
         raise DomainError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
@@ -573,10 +601,10 @@ def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConf
     for lo in range(0, n, chunk_rows):
         hi = min(lo + chunk_rows, n)
         chunk = IncompleteMatrix(data.values[lo:hi], data.mask[lo:hi])
-        weights, mean_x, std_x, p_m = _forward_weights(chunk, nodes, config, L, rng)
+        weights, *outs = _forward_weights(chunk, nodes, config, L, rng, decoded)
         shape = (hi - lo, L, d)
-        yield (slice(lo, hi), chunk.mask == 0, weights.normalized, mean_x.reshape(shape),
-               std_x.reshape(shape), None if p_m is None else p_m.reshape(shape))
+        yield (slice(lo, hi), chunk.mask == 0, weights.normalized,
+               *(None if out is None else out.reshape(shape) for out in outs))
 
 
 def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
@@ -592,7 +620,8 @@ def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
         rng = make_rng(config.seed + 1)
     completed = np.array(data.values, dtype=np.float64)
     prob_mask = np.full(data.shape, 0.5)
-    for rows, miss, w, mean_x, _, p_m in _chunk_passes(data, params, config, rng, chunk_rows):
+    for rows, miss, w, mean_x, _, p_m in _chunk_passes(data, params, config, rng, chunk_rows,
+                                                       ("mean_x", "p_m")):
         w = w[:, :, None]
         completed[rows][miss] = (w * mean_x).sum(axis=1)[miss]
         if p_m is not None:
@@ -613,7 +642,8 @@ def multiple_impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelCo
     if rng is None:
         rng = make_rng(config.seed + 1)
     draws = [np.array(data.values, dtype=np.float64) for _ in range(n_draws)]
-    for rows, miss, w, mean_x, std_x, _ in _chunk_passes(data, params, config, rng, chunk_rows):
+    for rows, miss, w, mean_x, std_x, _ in _chunk_passes(data, params, config, rng, chunk_rows,
+                                                         ("mean_x", "std_x")):
         n_rows, L, d = mean_x.shape
         cum = np.cumsum(w, axis=1)
         for t in range(n_draws):

@@ -1,3 +1,9 @@
+import contextlib
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -371,6 +377,81 @@ class TestTape:
         with pytest.raises(DomainError):
             ad.dense(Tensor(np.ones((1, 2))), Tensor(np.ones((2, 2))), Tensor(np.ones((1, 2))),
                      "relu")
+
+
+class TestBranch:
+    """A branch node and its sub-tape against the same graph built inline."""
+
+    def _run(self, build_branch):
+        r = np.random.default_rng(5)
+        c = ad.constant(r.standard_normal((300, 3)))
+        w0, b0 = Tensor(r.standard_normal((3, 16))), Tensor(r.standard_normal((1, 16)))
+        wa, ba = Tensor(r.standard_normal((16, 4))), Tensor(r.standard_normal((1, 4)))
+        wm, bm = Tensor(r.standard_normal((16, 4))), Tensor(r.standard_normal((1, 4)))
+        x = ad.dense(c, w0, b0, "tanh")
+
+        def fn(leaf):
+            return ad.scale(ad.sum_axis(ad.dense(leaf, wm, bm, "tanh"), 1), 0.5)
+
+        # x has three consumers: the inline dense, the branch and the density
+        node = build_branch(fn, x)
+        a = ad.sum_axis(ad.dense(x, wa, ba, "tanh"), 1)
+        prior = ad.sum_axis(ad.gaussian_log_density(x, np.zeros((1, 1)), np.ones((1, 1))), 1)
+        # the branch node has two consumers, both run before a and prior
+        # pass their gradients to x, as the mask term's consumer is in a step
+        total = ad.add(ad.mul(ad.add(a, prior), node), node)
+        backward(ad.sum_all(total))
+        return [total.value, x.grad, w0.grad, b0.grad, wa.grad, ba.grad, wm.grad, bm.grad]
+
+    def test_gradients_are_bit_equal_to_the_inline_graph(self):
+        inline = self._run(lambda fn, x: fn(x))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (None, 1, 2):
+                with (ThreadPoolExecutor(workers) if workers else
+                      contextlib.nullcontext()) as pool:
+                    got = self._run(lambda fn, x: ad.branch(fn, x, pool)())
+                for g, want in zip(got, inline):
+                    assert np.array_equal(_bits(g), _bits(want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_forward_and_backward_run_on_the_pool(self):
+        x = Tensor(np.ones((2, 2)))
+        threads = []
+
+        def fn(leaf):
+            threads.append(threading.get_ident())
+            return Tensor(leaf.value * 3.0, (leaf,),
+                          lambda g: threads.append(threading.get_ident())
+                          or leaf._accumulate(g * 3.0))
+
+        with ThreadPoolExecutor(1) as pool:
+            backward(ad.sum_all(ad.branch(fn, x, pool)()))
+        assert len(threads) == 2 and threading.get_ident() not in threads
+        assert np.array_equal(x.grad, np.full((2, 2), 3.0))
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_the_sub_tape_is_freed_by_its_backward(self, workers):
+        x = Tensor(np.ones((2, 2)))
+        inner = []
+
+        def fn(leaf):
+            h = ad.tanh(leaf)
+            inner.append(weakref.ref(h.value))
+            return ad.scale(h, 2.0)
+
+        with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
+            node = ad.branch(fn, x, pool)()
+            assert inner[0]() is not None
+            backward(ad.sum_all(node))
+        assert inner[0]() is None
+        assert np.array_equal(x.grad, np.full((2, 2), 2.0 * (1.0 - np.tanh(1.0) ** 2)))
+
+    def test_a_constant_input_is_refused(self):
+        with pytest.raises(DomainError):
+            ad.branch(lambda leaf: leaf, ad.constant(np.ones((1, 1))))
 
 
 class TestAdam:

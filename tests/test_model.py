@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -382,7 +383,7 @@ class TestImpute:
         cfg = small_config(l_impute=2)
         params = core.init_params(cfg, 1)
 
-        def fake_forward(chunk, nodes, config, l_samples, rng):
+        def fake_forward(chunk, nodes, config, l_samples, rng, decoded):
             weights = core.ImportanceWeightSet(
                 log_w=np.log(np.array([[0.75, 0.25]])),
                 normalized=np.array([[0.75, 0.25]]),
@@ -464,6 +465,25 @@ class TestImpute:
         for weights in built:
             assert weights.node._parents == ()
             assert not weights.node.requires_grad
+
+    def test_only_the_outputs_read_are_stitched(self, monkeypatch):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        stitched = []
+        score_tiles = core._score_tiles
+
+        def recording(*args):
+            outs = score_tiles(*args)
+            stitched.append([out is not None for out in outs[:3]])
+            return outs
+
+        monkeypatch.setattr(core, "_score_tiles", recording)
+        core.impute(data, params, cfg, chunk_rows=8)
+        core.multiple_impute(data, params, cfg, 2, chunk_rows=8)
+        core.bound(data, params, cfg, rng=make_rng(1))
+        # (mean_x, std_x, p_m): impute never builds std_x, multiple_impute never p_m
+        assert stitched == [[True, False, True]] * 3 + [[True, True, False]] * 3 + [[False] * 3]
 
 
 # the benchmark's two configurations, both at latent_dim=1 and hidden (128, 128)
@@ -606,6 +626,105 @@ class TestTileThreads:
         with pytest.raises(NumericError) as info:
             core.impute(data, params, cfg, chunk_rows=9)
         assert info.value is error
+
+
+class TestTrainFork:
+    """The parallel mask branch of a training step on a helper thread."""
+
+    @pytest.mark.parametrize("name, alpha", [("parallel-d4", 1.0), ("serial-d32", 1.0),
+                                             ("parallel-d4", 0.5), ("parallel-d4", 0.0)])
+    def test_training_does_not_depend_on_the_worker_count(self, monkeypatch, name, alpha):
+        d, overrides = BENCH_CONFIGS[name]
+        data, _, _ = toy_dataset(n=60, d=d)
+        cfg = core.ModelConfig(iterations=4, seed=1, alpha=alpha, trace_interval=1, **overrides)
+
+        def trained(workers):
+            monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+            params, trace = core.train(data, cfg)
+            return [params[k] for k in params.names] + [np.array(trace)]
+
+        serial = trained(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for workers in (2, 5):
+                for got, want in zip(trained(workers), serial):
+                    assert np.array_equal(_bits(got), _bits(want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_the_mask_decoder_runs_on_a_helper_thread(self, monkeypatch, workers):
+        data, _, _ = toy_dataset(n=40)
+        cfg = small_config(iterations=3)
+        threads = []
+        decode_mask = core.decode_mask
+        monkeypatch.setattr(core, "decode_mask", lambda *args: threads.append(
+            threading.get_ident()) or decode_mask(*args))
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        core.train(data, cfg)
+        assert len(threads) == cfg.iterations
+        if workers == 1:
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert threading.get_ident() not in threads
+
+    def test_an_error_in_the_forked_forward_names_the_iteration(self, monkeypatch):
+        data, _, _ = toy_dataset(n=40)
+        error = NumericError("raised in the mask decoder")
+        calls = itertools.count()
+        decode_mask = core.decode_mask
+
+        def failing(*args):
+            if next(calls) == 2:
+                raise error
+            return decode_mask(*args)
+
+        monkeypatch.setattr(core, "decode_mask", failing)
+        monkeypatch.setattr(core, "_tile_workers", lambda: 2)
+        with pytest.raises(NumericError, match="^iteration 2: raised in the mask decoder$") as info:
+            core.train(data, small_config(iterations=5))
+        assert info.value.__cause__ is error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_in_the_forked_backward_comes_out_unchanged(self, monkeypatch, workers):
+        data, _, _ = toy_dataset(n=40)
+        error = NumericError("raised in the mask decoder's backward")
+        decode_mask = core.decode_mask
+
+        def raising(g):
+            raise error
+
+        monkeypatch.setattr(core, "decode_mask",
+                            lambda *args: Tensor(decode_mask(*args).value, (args[0],), raising))
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        with pytest.raises(NumericError) as info:
+            core.train(data, small_config(iterations=2))
+        assert info.value is error
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_step_frees_its_mask_branch_before_the_next_forward(self, monkeypatch, workers):
+        data, _, _ = toy_dataset(n=40)
+        cfg = small_config(iterations=4, batch_size=16)
+        masks, alive = [], []  # (step, weakref to that step's mask probabilities)
+        steps = itertools.count()
+        decode_data, decode_mask = core.decode_data, core.decode_mask
+
+        def data_branch(*args):
+            step = len(alive)
+            alive.append(sum(ref() is not None for s, ref in list(masks) if s < step))
+            return decode_data(*args)
+
+        def mask_branch(*args):
+            p_m = decode_mask(*args)
+            masks.append((next(steps), weakref.ref(p_m.value)))
+            return p_m
+
+        monkeypatch.setattr(core, "decode_data", data_branch)
+        monkeypatch.setattr(core, "decode_mask", mask_branch)
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        core.train(data, cfg)
+        assert len(masks) == cfg.iterations and alive == [0] * cfg.iterations
 
 
 class TestMultipleImpute:
