@@ -16,7 +16,11 @@ Gradients are never written in place. A node's first gradient is the very
 array its consumer passed in, which may be shared with another node or be
 a read-only view, so every backward rule builds new arrays from ``g``.
 Values are not written in place either once their tensor exists, so a
-caller may keep a view of one without copying it.
+caller may keep a view of one without copying it. Parameter leaves are the
+exception: in training they view the parameter vector, which Adam writes
+in place once the step's :func:`backward` has returned, and so once every
+:func:`branch` sub-tape has run its backward too. That is safe because
+nothing reads a step's tape again; the next step builds new leaves.
 
 A product with an inner dimension of 1, such as a decoder's first layer at
 ``latent_dim=1``, is an outer product: :func:`matmul` computes it without
@@ -466,17 +470,15 @@ class AdamState:
         return cls(m=np.zeros(n), v=np.zeros(n))
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of ``params`` and ``state``, in place."""
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ShapeError("adam_step: params, grads and state lengths must agree")
     if not np.all(np.isfinite(grads)):
         raise NumericError("adam_step: non-finite gradient")
-    t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_params = params - lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new_params, AdamState(m=m, v=v, t=t, beta1=state.beta1,
-                                 beta2=state.beta2, eps=state.eps)
+    state.t += 1
+    state.m[...] = state.beta1 * state.m + (1.0 - state.beta1) * grads
+    state.v[...] = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
+    m_hat = state.m / (1.0 - state.beta1 ** state.t)
+    v_hat = state.v / (1.0 - state.beta2 ** state.t)
+    params -= lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -46,7 +46,7 @@ def mean_impute(data: IncompleteMatrix) -> np.ndarray:
     return out
 
 
-def run_baseline(kind: str, dataset: IncompleteMatrix, config: core.ModelConfig) -> core.ImputationResult:
+def run_method(kind: str, dataset: IncompleteMatrix, config: core.ModelConfig) -> core.ImputationResult:
     """Train (where needed) and impute with the named method."""
     cfg = method_config(kind, config)
     if cfg is None:

@@ -1,9 +1,13 @@
 """Command-line surface: synth, train, impute, eval and bench subcommands.
 
-Option precedence: built-in defaults < config file (--config) < explicit
-flags. The fully resolved configuration is echoed to ``config_echo.txt`` in
-every output directory so a run can be reproduced from its outputs alone.
-The output directory may be overridden with the MNARKIT_OUTDIR env var.
+Every field of ``ModelConfig`` and ``MissingSpec`` is a config-file key and
+a flag, both built from the field's name and read by its annotation:
+``model.x`` is ``--x`` and ``missing.x`` is ``--missing-x``, with each _
+written as -. Option precedence: built-in defaults < config file (--config)
+< explicit flags. The fully resolved configuration is echoed to
+``config_echo.txt`` in every output directory so a run can be reproduced
+from its outputs alone. The output directory may be overridden with the
+MNARKIT_OUTDIR env var.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ from . import baselines, evaluate, io, model as core, synth
 from .errors import DomainError, MnarkitError
 from .masking import compose_observed, feature_stats, standardize_complete
 
-# ModelConfig field -> its annotation ("int", "float", "str" or "tuple")
-MODEL_KINDS = {f.name: f.type for f in fields(core.ModelConfig)}
+# config-file section -> the dataclass whose fields it sets
+SECTIONS = {"model": core.ModelConfig, "missing": synth.MissingSpec}
 
 
 def _out_dir(args) -> str:
@@ -29,10 +33,9 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load_file_config(args) -> dict:
-    if getattr(args, "config", None):
-        return io.parse_config_file(args.config)
-    return {}
+def _flag(section: str, name: str) -> str:
+    stem = name if section == "model" else f"{section}_{name}"
+    return "--" + stem.replace("_", "-")
 
 
 def _int_list(raw: str) -> tuple:
@@ -54,37 +57,26 @@ def _parse(raw: str, kind: str, where: str):
         raise DomainError(f"{where}: cannot read {raw!r} as {wanted}") from None
 
 
-def _model_config(args, file_cfg: dict) -> core.ModelConfig:
-    cfg = {}
-    for key, value in file_cfg.items():
-        if key.startswith("model."):
-            cfg[key[len("model."):]] = value
-    unknown = set(cfg) - MODEL_KINDS.keys()
-    if unknown:
-        raise MnarkitError(f"unknown model config keys: {sorted(unknown)}")
-    config = core.ModelConfig(**{key: _parse(raw, MODEL_KINDS[key], f"model.{key}")
-                                 for key, raw in cfg.items()})
-    # explicit flags win over the file
-    for key in MODEL_KINDS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            if key == "hidden_sizes":
-                flag = _parse(flag, "tuple", "--hidden-sizes")
-            config = replace(config, **{key: flag})
-    return config
-
-
-def _missing_spec(args, file_cfg: dict) -> synth.MissingSpec:
-    kind = getattr(args, "missing_kind", None) or file_cfg.get("missing.kind", "self_mask")
-    k = getattr(args, "missing_k", None)
-    if k is None:
-        k = float(file_cfg.get("missing.k", 0.8))
-    mcar = getattr(args, "mcar_prob", None)
-    if mcar is None:
-        mcar = float(file_cfg.get("missing.mcar_probability", 0.0))
-    subset = file_cfg.get("missing.feature_subset", "")
-    features = tuple(int(t) for t in subset.split(",") if t.strip())
-    return synth.MissingSpec(kind=kind, k=k, feature_subset=features, mcar_probability=mcar)
+def _resolve(args, *sections: str) -> list:
+    """The dataclass of each section from the --config file's keys and the
+    flags, the flags winning; both are text read by the field's annotation.
+    A file key under any SECTIONS prefix must name a field."""
+    file_cfg = io.parse_config_file(args.config) if args.config else {}
+    for key in file_cfg:
+        section, _, name = key.partition(".")
+        if section in SECTIONS and name not in {f.name for f in fields(SECTIONS[section])}:
+            raise DomainError(f"{key}: unknown config key")
+    resolved = []
+    for section in sections:
+        values = {}
+        for f in fields(SECTIONS[section]):
+            key = f"{section}.{f.name}"
+            for raw, where in ((file_cfg.get(key), key),
+                               (getattr(args, key), _flag(section, f.name))):
+                if raw is not None:
+                    values[f.name] = _parse(raw, f.type, where)
+        resolved.append(SECTIONS[section](**values))
+    return resolved
 
 
 def _echo(out_dir: str, sections: dict) -> None:
@@ -98,18 +90,14 @@ def _echo(out_dir: str, sections: dict) -> None:
         f.write(io.format_config(flat))
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_flags(p: argparse.ArgumentParser, *sections: str) -> None:
+    """--config, and a flag for every field of the sections' dataclasses."""
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--latent-dim", dest="latent_dim", type=int)
-    p.add_argument("--hidden-sizes", dest="hidden_sizes", help="comma list, e.g. 128,128")
-    p.add_argument("--k-train", dest="k_train", type=int)
-    p.add_argument("--l-impute", dest="l_impute", type=int)
-    p.add_argument("--alpha", dest="alpha", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--iterations", dest="iterations", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--encoder", dest="encoder", choices=core.ENCODER_VARIANTS)
-    p.add_argument("--seed", dest="seed", type=int)
+    for section in sections:
+        for f in fields(SECTIONS[section]):
+            key = f"{section}.{f.name}"
+            p.add_argument(_flag(section, f.name), dest=key, metavar=f.type.upper(),
+                           help=f"{_PARSERS[f.type][1]}; config key {key}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,14 +107,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate complete data plus a missing mask")
     p.add_argument("--out", default="out_synth")
-    p.add_argument("--config")
     p.add_argument("--n", type=int, default=2000)
     p.add_argument("--d", type=int, default=4)
     p.add_argument("--rho", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--missing-kind", dest="missing_kind", choices=synth.SELF_MASK_KINDS)
-    p.add_argument("--missing-k", dest="missing_k", type=float)
-    p.add_argument("--mcar-prob", dest="mcar_prob", type=float)
+    _add_flags(p, "missing")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="fit the imputer or a baseline, write a checkpoint")
@@ -134,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="out_train")
     model_methods = [m for m, overrides in baselines.METHODS.items() if overrides is not None]
     p.add_argument("--method", choices=model_methods, default=model_methods[0])
-    _add_model_flags(p)
+    _add_flags(p, "model")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("impute", help="load a checkpoint and write the completed matrix")
@@ -160,18 +145,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-runs", dest="n_runs", type=int, default=5)
     p.add_argument("--seeds", help="comma list; defaults to 0..n_runs-1")
     p.add_argument("--methods", default=",".join(baselines.METHODS))
-    p.add_argument("--missing-kind", dest="missing_kind", choices=synth.SELF_MASK_KINDS)
-    p.add_argument("--missing-k", dest="missing_k", type=float)
-    p.add_argument("--mcar-prob", dest="mcar_prob", type=float)
-    _add_model_flags(p)
+    _add_flags(p, "missing", "model")
     p.set_defaults(func=cmd_bench)
     return parser
 
 
 def cmd_synth(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    spec = _missing_spec(args, file_cfg)
+    [spec] = _resolve(args, "missing")
     rng = synth.make_rng(args.seed)
     x = synth.gaussian_synth(args.n, args.d, np.zeros(args.d),
                              synth.equicorrelated_cov(args.d, args.rho), rng)
@@ -190,8 +171,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    config = baselines.method_config(args.method, _model_config(args, file_cfg))
+    [config] = _resolve(args, "model")
+    config = baselines.method_config(args.method, config)
     data, _ = io.load_matrix_csv(args.data)
     params, trace = core.train(data, config)
     ckpt = os.path.join(out, "model.npz")
@@ -241,9 +222,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     out = _out_dir(args)
-    file_cfg = _load_file_config(args)
-    config = _model_config(args, file_cfg)
-    spec = _missing_spec(args, file_cfg)
+    config, spec = _resolve(args, "model", "missing")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     for m in methods:
         if m not in baselines.METHODS:

@@ -149,7 +149,7 @@ def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.Missin
             cfg = replace(config, seed=seed)
             start = time.perf_counter()
             try:
-                result = baselines.run_baseline(method, observed, cfg)
+                result = baselines.run_method(method, observed, cfg)
             except MnarkitError as e:  # record, do not drop the cell
                 report.add(method, setting, f"error:seed={seed}:{type(e).__name__}", [np.nan])
                 continue

@@ -87,7 +87,8 @@ class ModelConfig:
 
 
 class ParamBlocks:
-    """Named weight arrays, addressable as one flat vector for the optimizer.
+    """Named weight arrays that are views of one flat float64 vector, the
+    vector the optimizer updates in place.
 
     Names are prefixed ``enc.`` (encoder), ``dec_x.`` (data decoder) and
     ``dec_m.`` (mask decoder / serial mask head); the two decoder blocks
@@ -95,7 +96,18 @@ class ParamBlocks:
     """
 
     def __init__(self, arrays: dict):
-        self._arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        arrays = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
+        flat = np.concatenate([a.ravel() for a in arrays.values()]) if arrays else np.empty(0)
+        self._view(flat, {k: a.shape for k, a in arrays.items()})
+
+    def _view(self, flat: np.ndarray, shapes: dict) -> None:
+        if flat.size != sum(math.prod(shape) for shape in shapes.values()):
+            raise ShapeError("flat vector length does not match parameter blocks")
+        self._flat, self._arrays, pos = flat, {}, 0
+        for k, shape in shapes.items():
+            size = math.prod(shape)
+            self._arrays[k] = flat[pos:pos + size].reshape(shape)
+            pos += size
 
     @property
     def names(self):
@@ -105,27 +117,25 @@ class ParamBlocks:
         return self._arrays[name]
 
     def __setitem__(self, name, value):
-        self._arrays[name] = np.asarray(value, dtype=np.float64)
+        """Replace or add a block; the blocks then view a new flat vector."""
+        self.__init__({**self._arrays, name: value})
 
     @property
     def n_features(self) -> int:
         return self._arrays["dec_x.bmean"].shape[1]
 
     def flatten(self) -> np.ndarray:
-        return np.concatenate([self._arrays[k].ravel() for k in self._arrays])
+        """The flat vector itself: writing it writes every block."""
+        return self._flat
 
     def unflatten(self, flat: np.ndarray) -> "ParamBlocks":
-        out = {}
-        pos = 0
-        for k, a in self._arrays.items():
-            out[k] = flat[pos:pos + a.size].reshape(a.shape).copy()
-            pos += a.size
-        if pos != flat.size:
-            raise ShapeError("flat vector length does not match parameter blocks")
-        return ParamBlocks(out)
+        """Blocks of this layout that view ``flat``, a 1-D float64 vector."""
+        out = ParamBlocks.__new__(ParamBlocks)
+        out._view(flat, {k: a.shape for k, a in self._arrays.items()})
+        return out
 
     def copy(self) -> "ParamBlocks":
-        return ParamBlocks({k: v.copy() for k, v in self._arrays.items()})
+        return self.unflatten(self._flat.copy())
 
 
 def _glorot(rng, fan_in, fan_out):
@@ -197,14 +207,6 @@ def init_params(config: ModelConfig, d: int, rng=None) -> ParamBlocks:
 def _nodes(params: ParamBlocks, requires_grad: bool = True) -> dict:
     """One leaf per block; constants (requires_grad=False) record no tape."""
     return {k: Tensor(params[k], requires_grad=requires_grad) for k in params.names}
-
-
-def _flat_grads(params: ParamBlocks, nodes: dict) -> np.ndarray:
-    parts = []
-    for k in params.names:
-        g = nodes[k].grad
-        parts.append((np.zeros_like(params[k]) if g is None else g).ravel())
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +525,9 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     rng = make_rng(config.seed)
     n, d = dataset.shape
     params = init_params(config, d, rng)
-    state = AdamState.for_size(params.flatten().size)
+    flat = params.flatten()
+    grads = params.unflatten(np.empty_like(flat))
+    state = AdamState.for_size(flat.size)
     trace = []
     order = rng.permutation(n)
     pos = 0
@@ -553,9 +557,11 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
                 trace.append((it, value))
             loss = ad.scale(bound_node, -1.0)
             backward(loss)
-            flat, state = adam_step(params.flatten(), _flat_grads(params, nodes),
-                                    state, config.learning_rate)
-            params = params.unflatten(flat)
+            for k in params.names:
+                g = nodes[k].grad
+                grads[k][...] = 0.0 if g is None else g
+            # writes the leaves of this step's tape, which nothing reads again
+            adam_step(flat, grads.flatten(), state, config.learning_rate)
     return params, trace
 
 

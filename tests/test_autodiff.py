@@ -9,7 +9,7 @@ import pytest
 
 from mnarkit import autodiff as ad
 from mnarkit.autodiff import AdamState, Tensor, adam_step, backward
-from mnarkit.errors import DomainError, ShapeError
+from mnarkit.errors import DomainError, NumericError, ShapeError
 
 
 def fd_grad(f, x, h=1e-4):
@@ -454,32 +454,67 @@ class TestBranch:
             ad.branch(lambda leaf: leaf, ad.constant(np.ones((1, 1))))
 
 
+def functional_adam(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The functional Adam update that adam_step computes in place; returns
+    new (params, m, v, t) and writes none of its arguments."""
+    t += 1
+    m = beta1 * m + (1.0 - beta1) * grads
+    v = beta2 * v + (1.0 - beta2) * grads * grads
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    return params - lr * m_hat / (np.sqrt(v_hat) + eps), m, v, t
+
+
 class TestAdam:
     def test_zero_gradient_keeps_params(self):
         p = rng.standard_normal(5)
+        before = p.copy()
         state = AdamState.for_size(5)
-        new_p, new_state = adam_step(p, np.zeros(5), state, 0.001)
-        assert np.array_equal(new_p, p)
-        assert new_state.t == 1
+        adam_step(p, np.zeros(5), state, 0.001)
+        assert np.array_equal(p, before)
+        assert state.t == 1
 
     def test_first_step_magnitude(self):
         # hand-evaluated recurrence at t=1: m_hat = g, v_hat = g^2, so the
         # update is lr * g / (|g| + eps) ~ lr * sign(g)
         g = np.array([0.5, -2.0, 1e-3])
         p = np.zeros(3)
-        new_p, _ = adam_step(p, g, AdamState.for_size(3), 0.001)
+        adam_step(p, g, AdamState.for_size(3), 0.001)
         expect = -0.001 * g / (np.abs(g) + 1e-8)
-        assert np.allclose(new_p, expect, rtol=1e-12)
-        assert np.allclose(np.abs(new_p), 0.001, rtol=1e-4)
+        assert np.allclose(p, expect, rtol=1e-12)
+        assert np.allclose(np.abs(p), 0.001, rtol=1e-4)
 
     def test_determinism(self):
         p = rng.standard_normal(4)
         g = rng.standard_normal(4)
-        s = AdamState.for_size(4)
-        a1 = adam_step(p, g, s, 0.01)
-        a2 = adam_step(p, g, AdamState.for_size(4), 0.01)
-        assert np.array_equal(a1[0], a2[0])
-        assert np.array_equal(a1[1].m, a2[1].m)
+        p1, s1 = p.copy(), AdamState.for_size(4)
+        p2, s2 = p.copy(), AdamState.for_size(4)
+        adam_step(p1, g, s1, 0.01)
+        adam_step(p2, g, s2, 0.01)
+        assert not np.array_equal(p1, p)
+        assert np.array_equal(p1, p2)
+        assert np.array_equal(s1.m, s2.m)
+
+    def test_in_place_steps_equal_the_functional_formula_bit_for_bit(self):
+        p = rng.standard_normal(64)
+        want, m, v, t = p.copy(), np.zeros(64), np.zeros(64), 0
+        state = AdamState.for_size(64)
+        for _ in range(6):
+            g = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 4, 64)
+            adam_step(p, g, state, 0.003)
+            want, m, v, t = functional_adam(want, g, m, v, t, 0.003)
+            assert np.array_equal(p.view(np.int64), want.view(np.int64))
+        assert state.t == t
+        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_a_refused_step_writes_nothing(self):
+        p, state = rng.standard_normal(3), AdamState.for_size(3)
+        adam_step(p, np.ones(3), state, 0.01)
+        before = (p.copy(), state.m.copy(), state.v.copy(), state.t)
+        with pytest.raises(NumericError):
+            adam_step(p, np.array([1.0, np.nan, 1.0]), state, 0.01)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip((p, state.m, state.v, state.t), before))
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):

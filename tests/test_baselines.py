@@ -54,14 +54,14 @@ def toy_mnar(n=60, d=4, seed=0):
 class TestRunBaseline:
     def test_mean_kind_matches_mean_impute(self):
         data = toy_mnar()
-        res = baselines.run_baseline("mean", data, small_config())
+        res = baselines.run_method("mean", data, small_config())
         assert np.array_equal(res.completed, baselines.mean_impute(data))
         assert np.all(res.prob_mask == 0.5)
 
     def test_alpha0_kind_is_bitwise_identical_to_alpha0_model(self):
         data = toy_mnar(n=40)
         cfg = small_config(iterations=15)
-        res = baselines.run_baseline("mar_alpha0", data, cfg)
+        res = baselines.run_method("mar_alpha0", data, cfg)
         from dataclasses import replace
         cfg0 = replace(cfg, alpha=0.0)
         params, _ = core.train(data, cfg0)
@@ -71,12 +71,12 @@ class TestRunBaseline:
 
     def test_unknown_kind(self):
         with pytest.raises(DomainError):
-            baselines.run_baseline("oracle", toy_mnar(n=10), small_config())
+            baselines.run_method("oracle", toy_mnar(n=10), small_config())
 
     def test_serial_selection_preserves_observed(self):
         data = toy_mnar(n=40)
         cfg = small_config(iterations=15)
-        res = baselines.run_baseline("serial_selection", data, cfg)
+        res = baselines.run_method("serial_selection", data, cfg)
         obs = data.mask == 1
         assert np.array_equal(res.completed[obs], data.values[obs])
 

@@ -143,7 +143,7 @@ class TestReportAndRunner:
         def fail(kind, dataset, config):
             raise NumericError("importance weights degenerate")
 
-        monkeypatch.setattr(baselines, "run_baseline", fail)
+        monkeypatch.setattr(baselines, "run_method", fail)
         rep = self._tiny_run([0])
         for method in ("conjunction", "mean"):
             assert rep.lookup(method, "self_mask:k=0.8", "error:seed=0:NumericError") is not None
@@ -152,7 +152,7 @@ class TestReportAndRunner:
         def bug(kind, dataset, config):
             raise TypeError("not a toolkit error")
 
-        monkeypatch.setattr(baselines, "run_baseline", bug)
+        monkeypatch.setattr(baselines, "run_method", bug)
         with pytest.raises(TypeError):
             self._tiny_run([0])
 

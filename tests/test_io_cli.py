@@ -1,9 +1,10 @@
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from mnarkit import baselines, cli, io
+from mnarkit import baselines, cli, io, model as core
 from mnarkit.errors import ParseError
 from mnarkit.masking import IncompleteMatrix
 
@@ -200,10 +201,92 @@ class TestCli:
     @pytest.mark.parametrize("argv, named", [
         (["train", "--data", "observed.csv", "--config", "{cfg}"], "model.latent_dim"),
         (["train", "--data", "observed.csv", "--hidden-sizes", "8,x"], "--hidden-sizes"),
-        (["bench", "--seeds", "1,x"], "--seeds")])
+        (["bench", "--seeds", "1,x"], "--seeds"),
+        (["train", "--data", "observed.csv", "--latent-dim", "x"], "--latent-dim"),
+        (["synth", "--config", "{cfg}"], "missing.k"),
+        (["synth", "--config", "{cfg}"], "missing.feature_subset")])
     def test_unreadable_number_exits_1_naming_it(self, tmp_path, capsys, argv, named):
         cfgfile = tmp_path / "bad.cfg"
-        cfgfile.write_text("model.latent_dim = x\n")
+        cfgfile.write_text({"model.latent_dim": "model.latent_dim = x\n",
+                            "missing.k": "missing.k = x\n",
+                            "missing.feature_subset": "missing.feature_subset = 1,x\n",
+                            }.get(named, ""))
         argv = [a.replace("{cfg}", str(cfgfile)) for a in argv]
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {named}: cannot read ")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["synth", "--config", "{cfg}"], "missing.kk"),
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "model.kk")])
+    def test_unknown_config_key_exits_1_naming_it(self, tmp_path, capsys, argv, named):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(f"{named} = 0.5\n")
+        argv = [a.replace("{cfg}", str(cfgfile)) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {named}: unknown config key\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--missing-kind", "bogus"],
+        ["train", "--data", "observed.csv", "--encoder", "bogus"],
+        ["train", "--data", "observed.csv", "--structure", "stacked"]])
+    def test_unknown_choice_exits_1_naming_it(self, tmp_path, capsys, argv):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown ") and repr(argv[-1]) in err
+
+
+# a value other than the default for every field of each config section, as text
+NON_DEFAULT = {
+    "model": {"latent_dim": "3", "hidden_sizes": "5,7", "k_train": "4", "l_impute": "9",
+              "alpha": "0.25", "learning_rate": "0.002", "iterations": "7",
+              "batch_size": "16", "encoder": "set_function", "set_embedding_size": "6",
+              "set_code_size": "11", "seed": "5", "structure": "serial",
+              "trace_interval": "2"},
+    "missing": {"kind": "mixed", "k": "0.3", "feature_subset": "0,2",
+                "mcar_probability": "0.1"},
+}
+COMMANDS = {"model": (["train", "--data", "observed.csv"], ["bench"]),
+            "missing": (["synth"], ["bench"])}
+
+
+def _resolved(section, argv):
+    [resolved] = cli._resolve(cli.build_parser().parse_args(argv), section)
+    return resolved
+
+
+class TestConfigTable:
+    """Every field of ModelConfig and MissingSpec is a config key and a flag."""
+
+    @pytest.mark.parametrize("section, name", [
+        (section, f.name) for section, cls in cli.SECTIONS.items() for f in fields(cls)])
+    def test_flag_and_config_key_give_the_same_value(self, tmp_path, section, name):
+        text = NON_DEFAULT[section][name]
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(f"{section}.{name} = {text}\n")
+        flag = "--" + (name if section == "model" else f"{section}_{name}").replace("_", "-")
+        for command in COMMANDS[section]:
+            from_flag = _resolved(section, [*command, flag, text])
+            from_file = _resolved(section, [*command, "--config", str(cfgfile)])
+            assert from_flag == from_file
+            assert from_flag != cli.SECTIONS[section]()
+
+    @pytest.mark.parametrize("flags", [[], ["--missing-kind", "mixed", "--missing-k", "0.3",
+                                            "--missing-feature-subset", "0,2",
+                                            "--missing-mcar-probability", "0.1"]])
+    def test_synth_echo_reproduces_the_missing_spec(self, tmp_path, flags):
+        out = str(tmp_path / "s")
+        assert cli.main(["synth", "--out", out, "--n", "20", *flags]) == 0
+        echo = os.path.join(out, "config_echo.txt")
+        assert (_resolved("missing", ["synth", "--config", echo])
+                == _resolved("missing", ["synth", *flags]))
+
+    def test_train_echo_reproduces_the_model_config(self, tmp_path):
+        synth_dir = str(tmp_path / "s")
+        cli.main(["synth", "--out", synth_dir, "--n", "30"])
+        data, out = os.path.join(synth_dir, "observed.csv"), str(tmp_path / "t")
+        assert cli.main(["train", "--data", data, "--out", out, *FAST, "--alpha", "0.5",
+                         "--structure", "serial", "--encoder", "set_function",
+                         "--learning-rate", "0.003", "--trace-interval", "4"]) == 0
+        _, config = core.load_checkpoint(os.path.join(out, "model.npz"))
+        echo = os.path.join(out, "config_echo.txt")
+        assert _resolved("model", ["train", "--data", data, "--config", echo]) == config

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from mnarkit import autodiff as ad
 from mnarkit import model as core
 from mnarkit.autodiff import Tensor, backward
-from mnarkit.errors import ConsistencyError, DomainError, NumericError
+from mnarkit.errors import ConsistencyError, DomainError, NumericError, ShapeError
 from mnarkit.masking import IncompleteMatrix, compose_observed, feature_stats, standardize_complete
 from mnarkit.synth import equicorrelated_cov, gaussian_synth, make_rng, self_mask
 
@@ -762,6 +762,49 @@ class TestMultipleImpute:
         assert np.all(np.abs(emp_mean - point.completed[miss]) < tol)
 
 
+class TestParamBlocks:
+    """The blocks are named views of one flat vector."""
+
+    def test_every_block_views_the_flat_vector(self):
+        params = core.init_params(small_config(), 3)
+        flat = params.flatten()
+        assert params.flatten() is flat
+        flat[:] = np.arange(flat.size)
+        assert np.array_equal(np.concatenate([params[k].ravel() for k in params.names]), flat)
+        assert all(np.shares_memory(params[k], flat) for k in params.names)
+
+    def test_unflatten_views_its_argument(self):
+        params = core.init_params(small_config(), 3)
+        flat = np.zeros(params.flatten().size)
+        other = params.unflatten(flat)
+        assert other.flatten() is flat and other.names == params.names
+        for k in params.names:
+            assert other[k].shape == params[k].shape and np.shares_memory(other[k], flat)
+
+    @pytest.mark.parametrize("size", [-1, 1])
+    def test_unflatten_length_mismatch(self, size):
+        params = core.init_params(small_config(), 3)
+        with pytest.raises(ShapeError):
+            params.unflatten(np.zeros(params.flatten().size + size))
+
+    def test_copy_shares_no_memory(self):
+        params = core.init_params(small_config(), 3)
+        twin = params.copy()
+        for k in params.names:
+            assert np.array_equal(twin[k], params[k])
+            assert not np.shares_memory(twin[k], params.flatten())
+
+    def test_setitem_adds_a_block_to_the_flat_vector(self):
+        params = core.init_params(small_config(), 3)
+        before = {k: params[k].copy() for k in params.names}
+        params["enc.extra"] = np.full((1, 2), 7.0)
+        assert params.names == [*before, "enc.extra"]
+        assert np.array_equal(params.flatten()[-2:], [7.0, 7.0])
+        for k, value in before.items():
+            assert np.array_equal(params[k], value)
+            assert np.shares_memory(params[k], params.flatten())
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg = small_config(alpha=0.25, encoder="set_function")
@@ -810,6 +853,12 @@ class TestCheckpoint:
     def test_listed_block_missing_from_the_archive(self, tmp_path):
         path = self._edited(tmp_path, lambda data: data.pop("param:dec_x.W1"))
         with pytest.raises(ConsistencyError, match=r"param:dec_x\.W1"):
+            core.load_checkpoint(path)
+
+    def test_empty_param_order(self, tmp_path):
+        path = self._edited(tmp_path, lambda data: data.update(
+            {"param_order": np.array([], dtype=str)}))
+        with pytest.raises(ConsistencyError, match=r"block enc\.W0 is missing"):
             core.load_checkpoint(path)
 
     def test_unicode_string_block(self, tmp_path):
