@@ -5,9 +5,10 @@ a flag, both built from the field's name and read by its annotation:
 ``model.x`` is ``--x`` and ``missing.x`` is ``--missing-x``, with each _
 written as -. Option precedence: built-in defaults < config file (--config)
 < explicit flags. The fully resolved configuration is echoed to
-``config_echo.txt`` in every output directory so a run can be reproduced
-from its outputs alone. The output directory may be overridden with the
-MNARKIT_OUTDIR env var.
+``config_echo.txt`` in every output directory, other values (``data.*``,
+``run.*``) as comments, so it loads back as ``--config``; a command refuses
+a key outside the sections it reads. The output directory may be
+overridden with the MNARKIT_OUTDIR env var.
 """
 
 from __future__ import annotations
@@ -60,11 +61,11 @@ def _parse(raw: str, kind: str, where: str):
 def _resolve(args, *sections: str) -> list:
     """The dataclass of each section from the --config file's keys and the
     flags, the flags winning; both are text read by the field's annotation.
-    A file key under any SECTIONS prefix must name a field."""
+    A file key must name a field of one of these sections."""
     file_cfg = io.parse_config_file(args.config) if args.config else {}
+    known = {f"{section}.{f.name}" for section in sections for f in fields(SECTIONS[section])}
     for key in file_cfg:
-        section, _, name = key.partition(".")
-        if section in SECTIONS and name not in {f.name for f in fields(SECTIONS[section])}:
+        if key not in known:
             raise DomainError(f"{key}: unknown config key")
     resolved = []
     for section in sections:
@@ -80,12 +81,14 @@ def _resolve(args, *sections: str) -> list:
 
 
 def _echo(out_dir: str, sections: dict) -> None:
+    """config_echo.txt: SECTIONS values as keys, every other value as a
+    ``# key = value`` comment, so that the file loads as --config."""
     flat = {}
     for prefix, mapping in sections.items():
         for key, value in mapping.items():
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            flat[f"{prefix}.{key}"] = value
+            flat[f"{'' if prefix in SECTIONS else '# '}{prefix}.{key}"] = value
     with open(os.path.join(out_dir, "config_echo.txt"), "w") as f:
         f.write(io.format_config(flat))
 

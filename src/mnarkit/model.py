@@ -263,23 +263,20 @@ def mask_probabilities(z: Tensor, mean_x: Tensor, nodes: dict, config: ModelConf
     return decode_mask_serial(mean_x, nodes)
 
 
-# Latent rows that one thread scores at once. A 32-row chunk at L=1000 is
-# 32000 rows, and each of its 128-wide activations (33 MB) is far larger
-# than the cache. Every tile has at least this many rows: on fewer, OpenBLAS
-# computes a narrow product such as a 128x4 output head with its
-# small-matrix kernel (OpenBLAS 0.3.31: below about 1950 rows), which moves
-# the last bits.
+# Latent rows that one thread scores at once: a row tile (see _row_tiles)
+# holds at least this many and, on more rows than that, fewer than twice as
+# many, so at L=1000 each of its 128-wide activations takes 5-10 MB. On
+# fewer rows, OpenBLAS computes a narrow product such as a 128x4 output
+# head with its small-matrix kernel (OpenBLAS 0.3.31: below about 1950
+# rows), which moves the last bits.
 TILE_ROWS = 4096
 
 
-def _tiles(n: int, workers: int) -> list[slice]:
-    """Row slices of near-equal length covering range(n), each at least
-    TILE_ROWS long unless n itself is shorter. When there are more than
-    `workers` of them, their number is a multiple of `workers`, so that no
-    thread is left scoring the last tile alone."""
-    q = max(1, n // TILE_ROWS)
-    if q > workers:
-        q -= q % workers
+def _row_tiles(n: int, k: int) -> list[slice]:
+    """Near-equal slices of range(n), each at least ceil(TILE_ROWS / k) rows
+    long unless n itself is shorter, so that a tile of k draws per row holds
+    at least TILE_ROWS latent rows."""
+    q = min(n, max(1, n // -(-TILE_ROWS // k)))
     return [slice(i * n // q, (i + 1) * n // q) for i in range(q)]
 
 
@@ -301,83 +298,38 @@ def _tile_workers() -> int:
     return 1
 
 
-def _mask_term(mask: np.ndarray, p_m: Tensor, alpha: float) -> Tensor:
-    return ad.scale(ad.sum_axis(ad.bernoulli_log_density(mask, p_m), 1), alpha)
-
-
-def _score_draws(z: Tensor, lo: int, x: np.ndarray, mask: np.ndarray, k: int,
-                 nodes: dict, config: ModelConfig, pool=None):
-    """The decoders and the data and mask log-terms (see
-    importance_log_weights) at the latent rows lo..lo+len(z), which hold k
-    draws per data row of x and mask.
-
-    Returns (mean_x, std_x, p_m, data_term, mask_term); p_m and mask_term
-    are None at alpha=0. When z requires a gradient, the parallel mask
-    decoder and its term run as an autodiff branch on ``pool`` (inline with
-    None) while this thread runs the data decoder; p_m is None then too.
-    """
-    src = np.arange(lo, lo + z.shape[0]) // k
-    x, mask = x[src], mask[src]
-    fork = z.requires_grad and config.structure == "parallel" and config.alpha != 0.0
-    if fork:  # the mask branch reads z and no parameter of the data branch
-        join = ad.branch(lambda leaf: _mask_term(mask, decode_mask(leaf, nodes, config),
-                                                 config.alpha), z, pool)
-    mean_x, std_x = decode_data(z, nodes, config)
-    data_term = ad.sum_axis(ad.mul_const(ad.gaussian_log_density(x, mean_x, std_x), mask), 1)
-    if fork:
-        return mean_x, std_x, None, data_term, join()
-    if config.alpha == 0.0:
-        return mean_x, std_x, None, data_term, None
-    p_m = mask_probabilities(z, mean_x, nodes, config)
-    return mean_x, std_x, p_m, data_term, _mask_term(mask, p_m, config.alpha)
-
-
-def _score_tiles(z: np.ndarray, x: np.ndarray, mask: np.ndarray, k: int,
-                 nodes: dict, config: ModelConfig, decoded: tuple):
-    """_score_draws over the row tiles of the constant latent rows z (see
-    TILE_ROWS), on _tile_workers() threads, stitched into constants. Only
-    the decoder outputs named in `decoded` are stitched; the others are
-    returned as None.
+def _map_tiles(tiles: list, fn) -> None:
+    """fn(tile) for every tile, on _tile_workers() threads.
 
     numpy releases the interpreter lock in BLAS and in ufuncs, so the tiles'
-    arithmetic runs in parallel. Each tile writes its own rows of the
-    outputs, so the bits do not depend on the number of threads. Each thread
-    takes the next unscored tile when it is done with one, so a thread whose
-    core is taken for a while leaves its share to the others instead of
-    holding up the call. The calling thread takes part, so the pool has one
-    thread fewer: each pool thread allocates from a malloc arena of its own.
+    arithmetic runs in parallel. Each thread takes the next tile when it is
+    done with one, so a thread whose core is taken for a while leaves its
+    share to the others instead of holding up the call. The calling thread
+    takes part, so the pool has one thread fewer: each pool thread
+    allocates from a malloc arena of its own. An error raised by fn comes
+    out unchanged.
     """
-    n, d = z.shape[0], x.shape[1]
-    with_mask = config.alpha != 0.0
-    outs = [np.empty((n, d)) if name in decoded and (with_mask or name != "p_m") else None
-            for name in DECODED]
-    outs += [np.empty((n, 1)), np.empty((n, 1)) if with_mask else None]
-    workers = _tile_workers()
-    tiles = _tiles(n, workers)
-    workers = min(workers, len(tiles))
+    workers = min(_tile_workers(), len(tiles))
     pending = iter(tiles)
     take = threading.Lock()
 
-    def score():
+    def run():
         while True:
             with take:
-                rows = next(pending, None)
-            if rows is None:
+                tile = next(pending, None)
+            if tile is None:
                 return
-            parts = _score_draws(ad.constant(z[rows]), rows.start, x, mask, k, nodes, config)
-            for out, part in zip(outs, parts):
-                if out is not None:
-                    out[rows] = part.value
+            fn(tile)
 
-    if workers == 1:
-        score()
-    else:
-        with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(score) for _ in range(workers - 1)]
-            score()
-            for future in futures:
-                future.result()  # raises the error of a tile scored there
-    return tuple(None if out is None else ad.constant(out) for out in outs)
+    with ThreadPoolExecutor(max(1, workers - 1)) as pool:  # no thread starts before a submit
+        futures = [pool.submit(run) for _ in range(workers - 1)]
+        run()
+        for future in futures:
+            future.result()  # raises the error of a tile scored there
+
+
+def _mask_term(mask: np.ndarray, p_m: Tensor, alpha: float) -> Tensor:
+    return ad.scale(ad.sum_axis(ad.bernoulli_log_density(mask, p_m), 1), alpha)
 
 
 @dataclass
@@ -387,7 +339,6 @@ class LatentBatch:
     z: Tensor
     mean_rep: Tensor
     std_rep: Tensor
-    noise: np.ndarray
     k: int
 
 
@@ -401,11 +352,7 @@ def sample_latent(mean_z: Tensor, std_z: Tensor, k: int, noise=None, rng=None) -
     mean_rep = ad.repeat_rows(mean_z, k)
     std_rep = ad.repeat_rows(std_z, k)
     z = ad.reparameterize(mean_rep, std_rep, noise)
-    return LatentBatch(z=z, mean_rep=mean_rep, std_rep=std_rep, noise=noise, k=k)
-
-
-# the decoder outputs an ImportanceWeightSet may keep, in this order
-DECODED = ("mean_x", "std_x", "p_m")
+    return LatentBatch(z=z, mean_rep=mean_rep, std_rep=std_rep, k=k)
 
 
 @dataclass
@@ -418,8 +365,8 @@ class ImportanceWeightSet:
     normalized: np.ndarray  # rows sum to 1
     components: dict        # name -> (n, k)
     node: Tensor            # graph handle, shape (n, k)
-    decoded: tuple = ()     # (mean_x, std_x, p_m), each (n*k, d), None where not asked
-                            # for and p_m None at alpha=0; () when none was asked for
+    decoded: tuple          # (mean_x, std_x, p_m), each (n, k, d); p_m None at
+                            # alpha=0 and where a training pass forks the mask branch
 
 
 def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
@@ -432,29 +379,33 @@ def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
 
 
 def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: dict,
-                           config: ModelConfig, decoded: tuple = DECODED,
-                           pool=None) -> ImportanceWeightSet:
+                           config: ModelConfig, pool=None) -> ImportanceWeightSet:
     """log w = observed-data term + alpha * mask term + prior - posterior.
 
     The data term sums Gaussian log-densities over observed entries only;
     the mask term sums Bernoulli log-densities over all entries. With
     alpha=0 the mask model contributes exactly nothing (term and gradient).
-    Only the decoder outputs named in ``decoded`` (see DECODED) are kept in
-    the result, so a pass without gradients builds no others. A pass with
-    gradients runs its mask branch on ``pool`` (see _score_draws).
+    A pass over constants records no tape. In a pass with gradients, the
+    parallel mask decoder and its term run as an autodiff branch on
+    ``pool`` (inline with None) while this thread runs the data decoder.
     """
     n, k = data.shape[0], latent.k
-    x = zero_impute(data)
-    if latent.z.requires_grad:  # training: one pass, recorded on the tape
-        parts = _score_draws(latent.z, 0, x, data.mask, k, nodes, config, pool)
-    else:
-        parts = _score_tiles(latent.z.value, x, data.mask, k, nodes, config, decoded)
-    mean_x, std_x, p_m, data_term, mask_term = parts
+    z, x, mask = latent.z, np.repeat(zero_impute(data), k, 0), np.repeat(data.mask, k, 0)
+    fork = z.requires_grad and config.structure == "parallel" and config.alpha != 0.0
+    if fork:  # the mask branch reads z and no parameter of the data branch
+        join = ad.branch(lambda leaf: _mask_term(mask, decode_mask(leaf, nodes, config),
+                                                 config.alpha), z, pool)
+    mean_x, std_x = decode_data(z, nodes, config)
+    data_term = ad.sum_axis(ad.mul_const(ad.gaussian_log_density(x, mean_x, std_x), mask), 1)
+    p_m = mask_term = None
+    if fork:
+        mask_term = join()
+    elif config.alpha != 0.0:
+        p_m = mask_probabilities(z, mean_x, nodes, config)
+        mask_term = _mask_term(mask, p_m, config.alpha)
 
-    prior = ad.sum_axis(ad.gaussian_log_density(
-        latent.z, np.zeros((1, 1)), np.ones((1, 1))), 1)
-    posterior = ad.sum_axis(ad.gaussian_log_density(
-        latent.z, latent.mean_rep, latent.std_rep), 1)
+    prior = ad.sum_axis(ad.gaussian_log_density(z, np.zeros((1, 1)), np.ones((1, 1))), 1)
+    posterior = ad.sum_axis(ad.gaussian_log_density(z, latent.mean_rep, latent.std_rep), 1)
 
     # views, not copies: no tensor value is written in place (see autodiff)
     components = {
@@ -474,39 +425,90 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: d
     for name, comp in components.items():
         if not np.all(np.isfinite(comp)):
             raise NumericError(f"non-finite importance-weight component: {name}")
-    kept = tuple(None if t is None or name not in decoded else t.value
-                 for name, t in zip(DECODED, (mean_x, std_x, p_m)))
     return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w),
                                components=components, node=node,
-                               decoded=kept if decoded else ())
+                               decoded=tuple(None if t is None else t.value.reshape(n, k, -1)
+                                             for t in (mean_x, std_x, p_m)))
+
+
+def _forward_weights(chunk: IncompleteMatrix, nodes: dict, config: ModelConfig,
+                     l_samples: int, rng=None, noise=None, pool=None):
+    """One pass over the rows of chunk at l_samples latent draws each, taken
+    from ``noise`` or else from rng: the weights and the decoder outputs
+    mean_x, std_x and p_m (see ImportanceWeightSet.decoded)."""
+    mean_z, std_z = encode(chunk, nodes, config)
+    latent = sample_latent(mean_z, std_z, l_samples, noise=noise, rng=rng)
+    weights = importance_log_weights(chunk, latent, nodes, config, pool)
+    return (weights, *weights.decoded)
+
+
+def _row_bounds(weights: ImportanceWeightSet, k: int) -> Tensor:
+    """Each row's log of its mean importance weight over k draws, (n, 1)."""
+    return ad.add_const(ad.log_sum_exp(weights.node, axis=1), -np.log(k))
 
 
 def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
                 noise: np.ndarray, pool=None) -> tuple[Tensor, ImportanceWeightSet]:
-    n = data.shape[0]
-    k = noise.shape[0] // n
+    k = noise.shape[0] // data.shape[0]
+    weights, *_ = _forward_weights(data, nodes, config, k, noise=noise, pool=pool)
+    return ad.mean_all(_row_bounds(weights, k)), weights
+
+
+def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, reduce,
+              noise=None, key=None) -> None:
+    """One pass without gradients at k latent draws per row: every row is
+    encoded at once, then each row tile (see _row_tiles), on the tile pool
+    (see _map_tiles), draws its latent rows, scores them and calls
+    reduce(rows, weights, streams), which writes only those rows.
+
+    A tile's draws are its rows' rows of ``noise`` (n*k, latent_dim), and
+    streams is None; or else row i's draws are the first of its own stream,
+    Philox keyed by ``key`` with i in the top word of its counter, so that
+    no two rows' streams overlap, and streams holds the tile's streams, one
+    per row, for reduce to draw more from. The tiles depend on n and k
+    alone, so no bit depends on the thread count or on chunk_rows.
+    """
     mean_z, std_z = encode(data, nodes, config)
-    latent = sample_latent(mean_z, std_z, k, noise=noise)
-    weights = importance_log_weights(data, latent, nodes, config, decoded=(), pool=pool)
-    per_row = ad.add_const(ad.log_sum_exp(weights.node, axis=1), -np.log(k))
-    return ad.mean_all(per_row), weights
+
+    def tile(rows):
+        if noise is None:
+            streams = [np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, i]))
+                       for i in range(rows.start, rows.stop)]
+            draws = np.concatenate([s.standard_normal((k, config.latent_dim)) for s in streams])
+        else:
+            streams, draws = None, noise[rows.start * k:rows.stop * k]
+        latent = sample_latent(ad.constant(mean_z.value[rows]), ad.constant(std_z.value[rows]),
+                               k, noise=draws)
+        chunk = IncompleteMatrix(data.values[rows], data.mask[rows])
+        reduce(rows, importance_log_weights(chunk, latent, nodes, config), streams)
+
+    _map_tiles(_row_tiles(data.shape[0], k), tile)
 
 
 def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
           rng=None, noise=None) -> float:
     """Monte Carlo estimate of the importance-weighted lower bound.
 
-    Pass ``noise`` of shape (n*k, latent_dim) for shared-randomness
-    comparisons across k; otherwise draws k_train samples from rng.
+    Pass ``noise`` of shape (n*k, latent_dim), k >= 1, for shared-randomness
+    comparisons across k; otherwise draws k_train samples per row from rng.
     """
-    nodes = _nodes(params, requires_grad=False)
+    n = data.shape[0]
     if noise is None:
         if rng is None:
             raise DomainError("bound needs rng or noise")
-        n = data.shape[0]
         noise = rng.standard_normal((n * config.k_train, config.latent_dim))
-    node, _ = _bound_node(data, nodes, config, np.asarray(noise, dtype=np.float64))
-    return float(node.value[0, 0])
+    noise = np.asarray(noise, dtype=np.float64)
+    k = noise.shape[0] // n if noise.ndim == 2 and n else 0
+    if k < 1 or noise.shape != (n * k, config.latent_dim):
+        raise ShapeError(f"noise shape {noise.shape} is not (n*k, latent_dim) = "
+                         f"({n}*k, {config.latent_dim}) for an int k >= 1")
+    per_row = np.empty((n, 1))
+
+    def reduce(rows, weights, _):
+        per_row[rows] = _row_bounds(weights, k).value
+
+    _row_pass(data, _nodes(params, requires_grad=False), config, k, reduce, noise=noise)
+    return float(per_row.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +522,7 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     ``trace_interval`` iterations. Deterministic given config.seed, and
     bit-identical whatever _tile_workers() gives: with two or more, the
     parallel mask branch of each step, forward and backward, runs on a
-    helper thread (see _score_draws and autodiff.branch).
+    helper thread (see importance_log_weights and autodiff.branch).
     """
     rng = make_rng(config.seed)
     n, d = dataset.shape
@@ -577,40 +579,24 @@ class ImputationResult:
     prob_mask: np.ndarray
 
 
-def _forward_weights(chunk: IncompleteMatrix, nodes: dict, config: ModelConfig,
-                     l_samples: int, rng, decoded: tuple = DECODED):
-    """Forward pass for one row chunk: weights, decoded means/stds, mask probs
-    (None at alpha=0), each None unless named in ``decoded``."""
-    mean_z, std_z = encode(chunk, nodes, config)
-    latent = sample_latent(mean_z, std_z, l_samples, rng=rng)
-    weights = importance_log_weights(chunk, latent, nodes, config, decoded)
-    return (weights, *weights.decoded)
+def _check_count(name: str, value) -> None:
+    if not _strict_int(value) or value < 1:
+        raise DomainError(f"{name} must be an int >= 1, got {value!r}")
 
 
-def _chunk_passes(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
-                  rng, chunk_rows: int, decoded: tuple):
-    """One forward pass per row chunk of l_impute latent draws.
-
-    Yields (row slice, missing mask, normalized weights (rows, L), mean_x,
-    std_x, p_m), the last three shaped (rows, L, d), each None unless named
-    in ``decoded``, and p_m None at alpha=0. The caller may draw from rng
-    between chunks.
-    """
-    if not _strict_int(chunk_rows) or chunk_rows < 1:
-        raise DomainError(f"chunk_rows must be an int >= 1, got {chunk_rows!r}")
+def _imputation_pass(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
+                     rng, chunk_rows, reduce) -> None:
+    """_row_pass at l_impute draws per row, row i drawing from its own
+    stream, keyed by one draw from rng (default: make_rng(seed + 1)) and
+    by i."""
+    _check_count("chunk_rows", chunk_rows)
     if params.n_features != data.shape[1]:
         raise ConsistencyError(
             f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
-    nodes = _nodes(params, requires_grad=False)
-    n, d = data.shape
-    L = config.l_impute
-    for lo in range(0, n, chunk_rows):
-        hi = min(lo + chunk_rows, n)
-        chunk = IncompleteMatrix(data.values[lo:hi], data.mask[lo:hi])
-        weights, *outs = _forward_weights(chunk, nodes, config, L, rng, decoded)
-        shape = (hi - lo, L, d)
-        yield (slice(lo, hi), chunk.mask == 0, weights.normalized,
-               *(None if out is None else out.reshape(shape) for out in outs))
+    if rng is None:
+        rng = make_rng(config.seed + 1)
+    _row_pass(data, _nodes(params, requires_grad=False), config, config.l_impute, reduce,
+              key=rng.integers(2**64, dtype=np.uint64))
 
 
 def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
@@ -621,17 +607,20 @@ def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
     latent draws; observed entries pass through bit-exactly. The
     probabilistic mask is the weight-averaged mask-decoder output; at
     alpha=0 the mask decoder gets no training signal, so it is 0.5.
+    ``chunk_rows`` must be an int >= 1 and changes no bit of the result:
+    rows are scored in tiles (see _row_pass), each from its own stream.
     """
-    if rng is None:
-        rng = make_rng(config.seed + 1)
     completed = np.array(data.values, dtype=np.float64)
     prob_mask = np.full(data.shape, 0.5)
-    for rows, miss, w, mean_x, _, p_m in _chunk_passes(data, params, config, rng, chunk_rows,
-                                                       ("mean_x", "p_m")):
-        w = w[:, :, None]
+
+    def reduce(rows, weights, _):
+        mean_x, _, p_m = weights.decoded
+        w, miss = weights.normalized[:, :, None], data.mask[rows] == 0
         completed[rows][miss] = (w * mean_x).sum(axis=1)[miss]
         if p_m is not None:
             prob_mask[rows] = (w * p_m).sum(axis=1)
+
+    _imputation_pass(data, params, config, rng, chunk_rows, reduce)
     return ImputationResult(completed=completed, prob_mask=prob_mask)
 
 
@@ -641,23 +630,28 @@ def multiple_impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelCo
 
     Each draw resamples one latent per row with probability proportional to
     the normalized weights, then samples missing entries from the data
-    decoder's Gaussian at that latent. Observed entries are preserved.
+    decoder's Gaussian at that latent. Observed entries are preserved. A
+    row's latent draws, resampling uniforms and Gaussian noise all come
+    from its own stream, so at the same rng impute sees the same latent
+    draws. ``chunk_rows`` must be an int >= 1 and changes no bit.
     """
-    if n_draws < 1:
-        raise DomainError("n_draws must be >= 1")
-    if rng is None:
-        rng = make_rng(config.seed + 1)
+    _check_count("n_draws", n_draws)
     draws = [np.array(data.values, dtype=np.float64) for _ in range(n_draws)]
-    for rows, miss, w, mean_x, std_x, _ in _chunk_passes(data, params, config, rng, chunk_rows,
-                                                         ("mean_x", "std_x")):
+
+    def reduce(rows, weights, streams):
+        mean_x, std_x, _ = weights.decoded
         n_rows, L, d = mean_x.shape
-        cum = np.cumsum(w, axis=1)
-        for t in range(n_draws):
-            pick = np.minimum((cum < rng.random((n_rows, 1))).sum(axis=1), L - 1)
-            mu = mean_x[np.arange(n_rows), pick]
-            sd = std_x[np.arange(n_rows), pick]
-            sample = mu + sd * rng.standard_normal((n_rows, d))
-            draws[t][rows][miss] = sample[miss]
+        cum = np.cumsum(weights.normalized, axis=1)
+        samples = np.empty((n_rows, n_draws, d))
+        for r, stream in enumerate(streams):
+            # the count of cum below each uniform, as cum never decreases
+            pick = np.minimum(np.searchsorted(cum[r], stream.random(n_draws)), L - 1)
+            samples[r] = mean_x[r, pick] + std_x[r, pick] * stream.standard_normal((n_draws, d))
+        miss = data.mask[rows] == 0
+        for t, draw in enumerate(draws):
+            draw[rows][miss] = samples[:, t][miss]
+
+    _imputation_pass(data, params, config, rng, chunk_rows, reduce)
     return draws
 
 

@@ -225,6 +225,22 @@ class TestCli:
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: {named}: unknown config key\n"
 
+    @pytest.mark.parametrize("argv, line", [
+        (["synth", "--config", "{cfg}"], "missng.k = 0.1"),
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "modle.alpha = 0.5"),
+        (["synth", "--config", "{cfg}"], "model.alpha = 0.5"),
+        (["synth", "--config", "{cfg}"], "data.n = 50"),
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "run.method = mean")])
+    def test_key_outside_the_commands_sections_exits_1_naming_it(self, tmp_path, capsys,
+                                                                 argv, line):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text(line + "\n")
+        argv = [a.replace("{cfg}", str(cfgfile)) for a in argv]
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
+        assert not (tmp_path / "o" / "config_echo.txt").exists()
+
     @pytest.mark.parametrize("argv", [
         ["synth", "--missing-kind", "bogus"],
         ["train", "--data", "observed.csv", "--encoder", "bogus"],
@@ -290,3 +306,18 @@ class TestConfigTable:
         _, config = core.load_checkpoint(os.path.join(out, "model.npz"))
         echo = os.path.join(out, "config_echo.txt")
         assert _resolved("model", ["train", "--data", data, "--config", echo]) == config
+        assert "# run.data = " in open(echo).read()
+
+    def test_bench_echo_reproduces_both_configs(self, tmp_path):
+        out = str(tmp_path / "b")
+        flags = ["--missing-kind", "mixed", "--missing-k", "0.3", "--alpha", "0.5",
+                 "--hidden-sizes", "5,7"]
+        assert cli.main(["bench", "--out", out, "--n", "40", "--n-runs", "1",
+                         "--methods", "mean", *flags]) == 0
+        echo = os.path.join(out, "config_echo.txt")
+        args = cli.build_parser().parse_args(["bench", "--config", echo])
+        assert (cli._resolve(args, "model", "missing")
+                == cli._resolve(cli.build_parser().parse_args(["bench", *flags]),
+                                "model", "missing"))
+        text = open(echo).read()
+        assert "# data.n = 40\n" in text and "# run.methods = mean\n" in text

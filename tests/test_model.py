@@ -5,10 +5,11 @@ import sys
 import threading
 import weakref
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mnarkit import autodiff as ad
 from mnarkit import model as core
@@ -323,6 +324,13 @@ class TestBound:
         with pytest.raises(DomainError, match="rng or noise"):
             core.bound(data, core.init_params(cfg, 4), cfg)
 
+    @pytest.mark.parametrize("shape", [(0, 2), (0, 1), (11, 2), (4, 2), (10, 1), (10,), (5, 2, 2)])
+    def test_noise_not_k_draws_per_row_is_refused(self, shape):
+        cfg = small_config()
+        data, _, _ = toy_dataset(n=5)
+        with pytest.raises(ShapeError, match="noise shape"):
+            core.bound(data, core.init_params(cfg, 4), cfg, noise=np.zeros(shape))
+
 
 class TestTrain:
     def test_bound_improves(self):
@@ -366,13 +374,16 @@ class TestImpute:
         data, _, _ = toy_dataset(n=10)
         cfg = small_config(iterations=15, l_impute=1)
         params, _ = core.train(data, cfg)
-        rng_a = make_rng(99)
-        res = core.impute(data, params, cfg, rng=rng_a)
-        # replay the identical forward pass
-        rng_b = make_rng(99)
+        res = core.impute(data, params, cfg, rng=make_rng(99))
+        # replay the identical forward pass: one key from the rng, and each
+        # row's one draw the first of its own stream
+        key = make_rng(99).integers(2**64, dtype=np.uint64)
+        streams = [np.random.Generator(np.random.Philox(key=key, counter=[0, 0, 0, i]))
+                   for i in range(10)]
+        noise = np.concatenate([s.standard_normal((1, cfg.latent_dim)) for s in streams])
         nodes = core._nodes(params)
         chunk = IncompleteMatrix(data.values, data.mask)
-        _, mean_x, _, _ = core._forward_weights(chunk, nodes, cfg, 1, rng_b)
+        _, mean_x, _, _ = core._forward_weights(chunk, nodes, cfg, 1, noise=noise)
         miss = data.mask == 0
         assert np.array_equal(res.completed[miss], mean_x.reshape(data.shape)[miss])
 
@@ -383,17 +394,16 @@ class TestImpute:
         cfg = small_config(l_impute=2)
         params = core.init_params(cfg, 1)
 
-        def fake_forward(chunk, nodes, config, l_samples, rng, decoded):
-            weights = core.ImportanceWeightSet(
+        def fake_weights(chunk, latent, nodes, config, pool=None):
+            mean_x = np.array([[[0.0], [4.0]]])
+            std_x = np.ones((1, 2, 1))
+            p_m = np.full((1, 2, 1), 0.5)
+            return core.ImportanceWeightSet(
                 log_w=np.log(np.array([[0.75, 0.25]])),
                 normalized=np.array([[0.75, 0.25]]),
-                components={}, node=None)
-            mean_x = np.array([[0.0], [4.0]])
-            std_x = np.ones((2, 1))
-            p_m = np.full((2, 1), 0.5)
-            return weights, mean_x, std_x, p_m
+                components={}, node=None, decoded=(mean_x, std_x, p_m))
 
-        monkeypatch.setattr(core, "_forward_weights", fake_forward)
+        monkeypatch.setattr(core, "importance_log_weights", fake_weights)
         res = core.impute(data, params, cfg)
         assert res.completed[0, 0] == 1.0
 
@@ -434,7 +444,7 @@ class TestImpute:
         assert np.all(core.impute(data, params, cfg).prob_mask == 0.5)
 
     @pytest.mark.parametrize("structure", ["parallel", "serial"])
-    def test_one_decode_per_chunk(self, monkeypatch, structure):
+    def test_one_decode_per_tile(self, monkeypatch, structure):
         data, _, _ = toy_dataset(n=20)
         cfg = small_config(structure=structure)
         params = core.init_params(cfg, 4)
@@ -442,10 +452,14 @@ class TestImpute:
         decode_data = core.decode_data
         monkeypatch.setattr(core, "decode_data",
                             lambda *args: calls.append(1) or decode_data(*args))
-        core.impute(data, params, cfg, chunk_rows=8)
-        assert len(calls) == 3
-        core.multiple_impute(data, params, cfg, 2, chunk_rows=8)
-        assert len(calls) == 6
+        # at least 4 rows of 16 draws per tile: 20 rows make 5 tiles
+        monkeypatch.setattr(core, "TILE_ROWS", 64)
+        for chunk_rows in (1, 8, 32):
+            calls.clear()
+            core.impute(data, params, cfg, chunk_rows=chunk_rows)
+            assert len(calls) == 5
+            core.multiple_impute(data, params, cfg, 2, chunk_rows=chunk_rows)
+            assert len(calls) == 10
 
 
     def test_imputation_records_no_tape(self, monkeypatch):
@@ -457,33 +471,36 @@ class TestImpute:
         monkeypatch.setattr(core, "importance_log_weights",
                             lambda *args, **kwargs: built.append(weights_of(*args, **kwargs))
                             or built[-1])
-        core.impute(data, params, cfg, chunk_rows=8)
+        monkeypatch.setattr(core, "TILE_ROWS", 64)
+        core.impute(data, params, cfg)
         core.bound(data, params, cfg, rng=make_rng(1))
-        assert len(built) == 4
-        # imputation reads the decoder outputs; bound does not keep them
-        assert all(len(w.decoded) == 3 for w in built[:3]) and built[3].decoded == ()
+        # five imputation tiles of 4 rows x 16 draws, one bound tile of 20 x 4
+        assert [w.log_w.shape for w in built] == [(4, 16)] * 5 + [(20, 4)]
         for weights in built:
             assert weights.node._parents == ()
             assert not weights.node.requires_grad
 
-    def test_only_the_outputs_read_are_stitched(self, monkeypatch):
+    @pytest.mark.parametrize("alpha", [1.0, 0.0])
+    def test_decoder_outputs_stay_in_their_tile(self, monkeypatch, alpha):
         data, _, _ = toy_dataset(n=20)
-        cfg = small_config()
+        cfg = small_config(alpha=alpha)
         params = core.init_params(cfg, 4)
-        stitched = []
-        score_tiles = core._score_tiles
+        decoded = []
+        weights_of = core.importance_log_weights
 
-        def recording(*args):
-            outs = score_tiles(*args)
-            stitched.append([out is not None for out in outs[:3]])
-            return outs
+        def recording(*args, **kwargs):
+            weights = weights_of(*args, **kwargs)
+            decoded.append([None if out is None else out.shape for out in weights.decoded])
+            return weights
 
-        monkeypatch.setattr(core, "_score_tiles", recording)
-        core.impute(data, params, cfg, chunk_rows=8)
-        core.multiple_impute(data, params, cfg, 2, chunk_rows=8)
-        core.bound(data, params, cfg, rng=make_rng(1))
-        # (mean_x, std_x, p_m): impute never builds std_x, multiple_impute never p_m
-        assert stitched == [[True, False, True]] * 3 + [[True, True, False]] * 3 + [[False] * 3]
+        monkeypatch.setattr(core, "importance_log_weights", recording)
+        monkeypatch.setattr(core, "TILE_ROWS", 64)
+        core.impute(data, params, cfg)
+        core.multiple_impute(data, params, cfg, 2)
+        # (mean_x, std_x, p_m) of one 4-row tile at 16 draws; no array is
+        # built for more rows than a tile holds
+        tile = (4, 16, 4)
+        assert decoded == [[tile, tile, tile if alpha else None]] * 10
 
 
 # the benchmark's two configurations, both at latent_dim=1 and hidden (128, 128)
@@ -500,17 +517,20 @@ def _bits(a):
 class TestTiledDecode:
     @pytest.mark.parametrize("n", [1, 2047, 2048, 4095, 4096, 8191, 8192, 9000, 32000])
     def test_tiles_cover_the_rows_and_keep_the_minimum(self, n):
-        for workers in (1, 2, 5):
-            tiles = core._tiles(n, workers)
+        for k in (1, 3, 20, 1000, 5000):
+            tiles = core._row_tiles(n, k)
             assert tiles[0].start == 0 and tiles[-1].stop == n
             assert all(a.stop == b.start for a, b in zip(tiles, tiles[1:]))
             lengths = [t.stop - t.start for t in tiles]
-            assert min(lengths) >= min(n, core.TILE_ROWS)
-            # as many tiles as fit, less at most workers - 1, so that every
-            # thread has as many when there are more tiles than threads
-            assert n // core.TILE_ROWS - workers < len(tiles) <= max(1, n // core.TILE_ROWS)
-            assert len(tiles) <= workers or len(tiles) % workers == 0
+            # every tile holds at least TILE_ROWS latent rows, and there
+            # are as many tiles as fit
+            least = -(-core.TILE_ROWS // k)
+            assert min(lengths) >= min(n, least)
+            assert len(tiles) == max(1, n // least)
             assert max(lengths) - min(lengths) <= 1
+
+    def test_no_rows_no_tiles(self):
+        assert core._row_tiles(0, 1000) == []
 
     @pytest.mark.parametrize("name", sorted(BENCH_CONFIGS))
     def test_tiled_equals_untiled_bitwise(self, monkeypatch, name):
@@ -518,9 +538,9 @@ class TestTiledDecode:
         data, _, _ = toy_dataset(n=60, d=d)
         cfg = core.ModelConfig(iterations=3, seed=1, **overrides)
         params, _ = core.train(data, cfg)
-        # 9 rows x 1000 draws: more latent rows than one tile, not a multiple of it
-        sub = IncompleteMatrix(data.values[:9], data.mask[:9])
-        noise = make_rng(4).standard_normal((9 * 1000, 1))
+        # 11 rows x 1000 draws: two tiles, of 5 and 6 rows
+        sub = IncompleteMatrix(data.values[:11], data.mask[:11])
+        noise = make_rng(4).standard_normal((11 * 1000, 1))
         calls = []
         decode_data = core.decode_data
         monkeypatch.setattr(core, "decode_data",
@@ -533,11 +553,10 @@ class TestTiledDecode:
                     np.array([core.bound(sub, params, cfg, noise=noise)])]
 
         tiled = outputs()
-        lengths = [t.stop - t.start for t in core._tiles(9000, core._tile_workers())]
-        assert len(lengths) > 1 and calls == lengths * 3
+        assert sorted(calls) == [5000] * 3 + [6000] * 3
         monkeypatch.setattr(core, "TILE_ROWS", 10 ** 9)
         untiled = outputs()
-        assert calls[3 * len(lengths):] == [9000] * 3
+        assert calls[6:] == [11000] * 3
         for got, want in zip(tiled, untiled):
             assert np.array_equal(_bits(got), _bits(want))
 
@@ -609,7 +628,7 @@ class TestTileThreads:
         assert core._tile_workers() == workers
 
     def test_a_tile_error_comes_out_unchanged(self, monkeypatch):
-        data, _, _ = toy_dataset(n=9)
+        data, _, _ = toy_dataset(n=20)
         cfg = small_config(latent_dim=1, l_impute=1000)
         params = core.init_params(cfg, 4)
         error = NumericError("raised in the second tile")
@@ -624,8 +643,61 @@ class TestTileThreads:
         monkeypatch.setattr(core, "decode_data", failing)
         monkeypatch.setattr(core, "_tile_workers", lambda: 2)
         with pytest.raises(NumericError) as info:
-            core.impute(data, params, cfg, chunk_rows=9)
+            core.impute(data, params, cfg)
         assert info.value is error
+
+
+class TestRowKeyedDraws:
+    """Each row draws from a stream of its own, so no imputation output
+    depends on chunk_rows, the tiles' threads or the other rows' draws."""
+
+    def test_multiple_impute_does_not_depend_on_chunk_rows(self):
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        eight = core.multiple_impute(data, params, cfg, 3, chunk_rows=8)
+        twenty = core.multiple_impute(data, params, cfg, 3, chunk_rows=20)
+        for a, b in zip(eight, twenty):
+            assert np.array_equal(_bits(a), _bits(b))
+
+    def test_impute_and_multiple_impute_share_their_latent_draws(self, monkeypatch):
+        data, _, _ = toy_dataset(n=12)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        drawn = []
+        sample_latent = core.sample_latent
+        monkeypatch.setattr(core, "sample_latent", lambda *args, noise=None, **kwargs: (
+            drawn.append(noise) or sample_latent(*args, noise=noise, **kwargs)))
+        core.impute(data, params, cfg, rng=make_rng(3))
+        core.multiple_impute(data, params, cfg, 2, rng=make_rng(3))
+        point, resampled = drawn
+        assert np.array_equal(point, resampled)
+
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(1, 24), l_samples=st.integers(1, 24),
+           chunk_rows=st.lists(st.integers(1, 40), min_size=3, max_size=3),
+           structure=st.sampled_from(["parallel", "serial"]), tile_rows=st.sampled_from([8, 4096]))
+    def test_outputs_do_not_depend_on_chunk_rows_or_threads(self, n, l_samples, chunk_rows,
+                                                             structure, tile_rows):
+        rng = make_rng(n)
+        data = compose_observed(rng.standard_normal((n, 3)), rng.random((n, 3)) < 0.6)
+        cfg = small_config(l_impute=l_samples, structure=structure)
+        params = core.init_params(cfg, 3, make_rng(l_samples))
+        obs = data.mask == 1
+        runs = []
+        with mock.patch.object(core, "TILE_ROWS", tile_rows):
+            for workers, rows in zip((1, 2, 5), chunk_rows):
+                with mock.patch.object(core, "_tile_workers", lambda: workers):
+                    res = core.impute(data, params, cfg, chunk_rows=rows)
+                    draws = core.multiple_impute(data, params, cfg, 2, chunk_rows=rows)
+                for out in (res.completed, *draws):
+                    assert np.array_equal(out[obs], data.values[obs])
+                assert np.all(res.prob_mask >= ad.PROB_FLOOR)
+                assert np.all(res.prob_mask <= 1.0 - ad.PROB_FLOOR)
+                runs.append([res.completed, res.prob_mask, *draws])
+        for run in runs[1:]:
+            for got, want in zip(run, runs[0]):
+                assert np.array_equal(_bits(got), _bits(want))
 
 
 class TestTrainFork:
@@ -742,8 +814,9 @@ class TestMultipleImpute:
         data, _, _ = toy_dataset(n=4)
         cfg = small_config()
         params = core.init_params(cfg, 4)
-        with pytest.raises(DomainError):
-            core.multiple_impute(data, params, cfg, 0)
+        for n_draws in (0, -1, 2.5, True, "2"):
+            with pytest.raises(DomainError, match="n_draws"):
+                core.multiple_impute(data, params, cfg, n_draws)
 
     def test_sir_mean_converges_to_point_estimate(self):
         data, _, mask = toy_dataset(n=4, seed=8)
