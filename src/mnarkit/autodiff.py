@@ -22,6 +22,14 @@ in place once the step's :func:`backward` has returned, and so once every
 :func:`branch` sub-tape has run its backward too. That is safe because
 nothing reads a step's tape again; the next step builds new leaves.
 
+:func:`backward` releases what it no longer needs as it goes: once a
+node's rule has run, or has been skipped because no gradient reached the
+node, the node drops its gradient and its backward closure, and with them
+the arrays the closure saved. After ``backward`` only leaves (tensors
+without parents) hold a gradient; every value stays readable. A graph is
+therefore backpropagated once: a second ``backward`` that reaches a
+released node raises ``DomainError``.
+
 A product with an inner dimension of 1, such as a decoder's first layer at
 ``latent_dim=1``, is an outer product: :func:`matmul` computes it without
 BLAS, bit-equal to the BLAS call it replaces, signs of zeros included.
@@ -94,9 +102,11 @@ def constant(value) -> Tensor:
 
 
 def backward(result: Tensor) -> None:
-    """Accumulate d(result)/d(node) into ``.grad`` of every node in the graph.
+    """Accumulate d(result)/d(leaf) into ``.grad`` of every leaf in the graph,
+    releasing each interior node on the way (see the module docstring).
 
-    ``result`` must be scalar-shaped (1x1).
+    ``result`` must be scalar-shaped (1x1), and its graph not yet
+    backpropagated.
     """
     if result.value.size != 1:
         raise ShapeError(f"backward() needs a scalar result, got shape {result.value.shape}")
@@ -106,7 +116,8 @@ def backward(result: Tensor) -> None:
 def _run_tape(result: Tensor, grad: np.ndarray) -> None:
     """Backpropagate ``grad`` from ``result`` through the nodes it depends on,
     each after all of its consumers, starting the sub-tape of each branch
-    node once its consumers have run (see branch)."""
+    node once its consumers have run (see branch), and releasing each
+    interior node's gradient and closure once it has passed them on."""
     order = []
     seen = set()
     consumers = {}  # id of a branch node -> its consumers not yet run
@@ -118,6 +129,9 @@ def _run_tape(result: Tensor, grad: np.ndarray) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents and node._backward is None:
+            raise DomainError("backward: the graph was already backpropagated, "
+                              f"its node {node} is released")
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -128,6 +142,8 @@ def _run_tape(result: Tensor, grad: np.ndarray) -> None:
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        if node._parents:  # a leaf keeps its gradient for the caller
+            node.grad = node._backward = None
         if consumers:
             for p in node._parents:
                 if id(p) in consumers:
@@ -175,8 +191,7 @@ def branch(fn, x: Tensor, pool=None):
     the sub-tape's thread. A sub-tape's backward runs on ``pool`` too, so
     ``fn`` must not itself branch onto a pool it could wait on. The
     thread that runs the sub-tape's backward frees it right after, so that
-    a pool thread's malloc arena never holds two steps' sub-tapes; it can
-    therefore be backpropagated only once.
+    a pool thread's malloc arena never holds two steps' sub-tapes.
     """
     if not x.requires_grad:
         raise DomainError("branch: x must require a gradient")
@@ -400,9 +415,11 @@ def gaussian_log_density(x, mean, std) -> Tensor:
     xt = x if isinstance(x, Tensor) else constant(x)
     mt = mean if isinstance(mean, Tensor) else constant(mean)
     st = std if isinstance(std, Tensor) else constant(std)
+    _check_broadcast(xt.value.shape, mt.value.shape)
+    _check_broadcast(xt.value.shape, st.value.shape)
     if np.any(st.value <= 0):
         raise DomainError("gaussian_log_density: std must be strictly positive")
-    _check_broadcast(xt.value.shape, mt.value.shape)
+    # mean and std broadcast to x's shape, so z and v have it
     z = (xt.value - mt.value) / st.value
     v = -np.log(st.value) - 0.5 * LOG_2PI - 0.5 * z * z
 
@@ -415,13 +432,14 @@ def gaussian_log_density(x, mean, std) -> Tensor:
         if st.requires_grad:
             st._accumulate(_reduce_to(g * ((z * z - 1.0) * inv), st.value.shape))
 
-    return Tensor(np.broadcast_to(v, np.broadcast_shapes(xt.value.shape, mt.value.shape)).copy(),
-                  (xt, mt, st), _bw)
+    return Tensor(v, (xt, mt, st), _bw)
 
 
 def bernoulli_log_density(m, p: Tensor) -> Tensor:
     """Elementwise m*log(p) + (1-m)*log(1-p); m is a constant 0/1 array."""
     m = np.asarray(m, dtype=np.float64)
+    if m.shape != p.value.shape:
+        raise ShapeError(f"bernoulli_log_density: mask shape {m.shape} != p shape {p.value.shape}")
     if np.any((m != 0) & (m != 1)):
         raise DomainError("bernoulli_log_density: mask entries must be 0 or 1")
     if np.any(p.value <= 0) or np.any(p.value >= 1):

@@ -265,11 +265,15 @@ def mask_probabilities(z: Tensor, mean_x: Tensor, nodes: dict, config: ModelConf
 
 # Latent rows that one thread scores at once: a row tile (see _row_tiles)
 # holds at least this many and, on more rows than that, fewer than twice as
-# many, so at L=1000 each of its 128-wide activations takes 5-10 MB. On
-# fewer rows, OpenBLAS computes a narrow product such as a 128x4 output
-# head with its small-matrix kernel (OpenBLAS 0.3.31: below about 1950
-# rows), which moves the last bits.
-TILE_ROWS = 4096
+# many, so at L=1000 a tile is 3-5 rows and each of its 128-wide
+# activations takes 3-5 MB. A tile keeps the bits of one untiled pass as
+# long as OpenBLAS computes each of its products with the same kernel.
+# OpenBLAS 0.3.31 takes its small-matrix kernel, which sums a long inner
+# dimension in another order, when M*N*K <= 1e6: for an output head from
+# 128 hidden units to d features, below 1e6 / (128 * d) rows. So 2048 rows
+# keep the bits for d >= 4 (the switch is at 1954 rows for d=4); heads of
+# 1-3 features may move the last bits.
+TILE_ROWS = 2048
 
 
 def _row_tiles(n: int, k: int) -> list[slice]:
@@ -609,6 +613,10 @@ def impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
     alpha=0 the mask decoder gets no training signal, so it is 0.5.
     ``chunk_rows`` must be an int >= 1 and changes no bit of the result:
     rows are scored in tiles (see _row_pass), each from its own stream.
+    A seed fixes the result for a fixed set of rows: encoding more or fewer
+    rows at once can move a row's last bits (OpenBLAS picks its kernel by
+    matrix size), so impute(data[:64]) need not equal the first 64 rows of
+    impute(data) bit for bit.
     """
     completed = np.array(data.values, dtype=np.float64)
     prob_mask = np.full(data.shape, 0.5)
@@ -633,7 +641,8 @@ def multiple_impute(data: IncompleteMatrix, params: ParamBlocks, config: ModelCo
     decoder's Gaussian at that latent. Observed entries are preserved. A
     row's latent draws, resampling uniforms and Gaussian noise all come
     from its own stream, so at the same rng impute sees the same latent
-    draws. ``chunk_rows`` must be an int >= 1 and changes no bit.
+    draws. ``chunk_rows`` must be an int >= 1 and changes no bit. As with
+    impute, a seed fixes the draws for a fixed set of rows only.
     """
     _check_count("n_draws", n_draws)
     draws = [np.array(data.values, dtype=np.float64) for _ in range(n_draws)]

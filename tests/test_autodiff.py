@@ -1,4 +1,5 @@
 import contextlib
+import re
 import sys
 import threading
 import weakref
@@ -122,6 +123,18 @@ class TestGaussianLogDensity:
         with pytest.raises(DomainError):
             ad.gaussian_log_density(np.zeros((1, 1)), Tensor([[0.0]]), Tensor([[0.0]]))
 
+    @pytest.mark.parametrize("x_shape, std_shape", [((1, 1), (3, 2)), ((3, 2), (2, 2))])
+    def test_std_that_does_not_broadcast_to_x_is_refused(self, x_shape, std_shape):
+        with pytest.raises(ShapeError, match=re.escape(f"{x_shape} and {std_shape}")):
+            ad.gaussian_log_density(np.zeros(x_shape), Tensor(np.zeros(x_shape)),
+                                    Tensor(np.ones(std_shape)))
+
+    def test_value_has_the_shape_of_x(self):
+        x = rng.standard_normal((4, 3))
+        v = ad.gaussian_log_density(x, np.zeros((1, 1)), np.full((1, 3), 2.0))
+        assert v.shape == (4, 3)
+        assert np.allclose(v.value, -np.log(2.0) - 0.5 * np.log(2 * np.pi) - 0.5 * (x / 2.0) ** 2)
+
     def test_mean_gradient_matches_fd(self):
         for _ in range(10):
             x = rng.standard_normal((3, 2))
@@ -159,6 +172,11 @@ class TestBernoulliLogDensity:
             ad.bernoulli_log_density(np.ones((1, 1)), Tensor([[1.0]]))
         with pytest.raises(DomainError):
             ad.bernoulli_log_density(np.full((1, 1), 0.5), Tensor([[0.5]]))
+
+    @pytest.mark.parametrize("m_shape, p_shape", [((3, 2), (1, 2)), ((2, 2), (3, 2))])
+    def test_mask_and_p_of_different_shapes_are_refused(self, m_shape, p_shape):
+        with pytest.raises(ShapeError, match="mask shape"):
+            ad.bernoulli_log_density(np.ones(m_shape), Tensor(np.full(p_shape, 0.5)))
 
     def test_logit_gradient_matches_fd(self):
         for _ in range(10):
@@ -303,14 +321,59 @@ class TestTape:
         assert ad.matmul(const, ad.constant(np.ones((3, 1))))._parents == ()
 
     def test_parents_sharing_a_gradient_stay_independent(self):
-        # both parents of the outer add receive the same g; a then
-        # accumulates once more through s, which must not change s or b
+        # both parents of the outer add receive the same g, and s passes
+        # that very array on to b; a then accumulates once more through s,
+        # which must not write the shared array that b holds
         a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
         s = ad.add(a, b)
         backward(ad.sum_all(ad.add(s, a)))
         assert np.array_equal(a.grad, np.full((2, 2), 2.0))
-        assert np.array_equal(s.grad, np.ones((2, 2)))
         assert np.array_equal(b.grad, np.ones((2, 2)))
+
+    def test_backward_releases_interior_nodes_and_keeps_leaves(self):
+        x, w = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 2)))
+        h = ad.tanh(ad.matmul(x, w))
+        lse = ad.log_sum_exp(h, 1)
+        out = ad.sum_all(lse)
+        values = [n.value.copy() for n in (h, lse, out)]
+        backward(out)
+        for node in (h, h._parents[0], lse, out):
+            assert node.grad is None and node._backward is None
+        for node, value in zip((h, lse, out), values):
+            assert np.array_equal(node.value, value)
+        t = np.tanh(x.value @ w.value)
+        g = (1.0 - t * t) * (np.exp(t) / np.exp(t).sum(axis=1, keepdims=True))
+        assert np.allclose(x.grad, g @ w.value.T) and np.allclose(w.grad, x.value.T @ g)
+
+    def test_released_arrays_are_freed(self):
+        x = Tensor(rng.standard_normal((4, 3)))
+        lse = ad.log_sum_exp(ad.tanh(x), 1)
+        saved = dict(zip(lse._backward.__code__.co_freevars,
+                         (c.cell_contents for c in lse._backward.__closure__)))
+        shifted = weakref.ref(saved.pop("shifted"))
+        del saved
+        grads = []
+
+        def probe_bw(g):  # the gradient sum_all passes in is this node's alone
+            grads.append(weakref.ref(g))
+            lse._accumulate(g * 2.0)
+
+        probe = Tensor(lse.value * 2.0, (lse,), probe_bw)
+        backward(ad.sum_all(probe))
+        assert shifted() is None and grads[0]() is None
+        assert x.grad is not None
+
+    def test_a_graph_is_backpropagated_once(self):
+        x = Tensor(rng.standard_normal((2, 3)))
+        h = ad.tanh(x)
+        out = ad.sum_all(h)
+        backward(out)
+        grad = x.grad
+        with pytest.raises(DomainError, match="already backpropagated"):
+            backward(out)
+        with pytest.raises(DomainError, match="already backpropagated"):
+            backward(ad.sum_all(ad.scale(h, 2.0)))
+        assert x.grad is grad
 
     def test_logistic_is_bit_equal_to_the_two_branch_formula(self):
         x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0,

@@ -538,7 +538,9 @@ class TestTiledDecode:
         data, _, _ = toy_dataset(n=60, d=d)
         cfg = core.ModelConfig(iterations=3, seed=1, **overrides)
         params, _ = core.train(data, cfg)
-        # 11 rows x 1000 draws: two tiles, of 5 and 6 rows
+        # 11 rows x 1000 draws: several tiles, each of at least TILE_ROWS draws
+        tiles = [1000 * (rows.stop - rows.start) for rows in core._row_tiles(11, 1000)]
+        assert len(tiles) > 1 and min(tiles) >= core.TILE_ROWS
         sub = IncompleteMatrix(data.values[:11], data.mask[:11])
         noise = make_rng(4).standard_normal((11 * 1000, 1))
         calls = []
@@ -553,10 +555,10 @@ class TestTiledDecode:
                     np.array([core.bound(sub, params, cfg, noise=noise)])]
 
         tiled = outputs()
-        assert sorted(calls) == [5000] * 3 + [6000] * 3
+        assert sorted(calls) == sorted(tiles * 3)
         monkeypatch.setattr(core, "TILE_ROWS", 10 ** 9)
         untiled = outputs()
-        assert calls[6:] == [11000] * 3
+        assert calls[3 * len(tiles):] == [11000] * 3
         for got, want in zip(tiled, untiled):
             assert np.array_equal(_bits(got), _bits(want))
 
