@@ -20,7 +20,8 @@ caller may keep a view of one without copying it. Parameter leaves are the
 exception: in training they view the parameter vector, which Adam writes
 in place once the step's :func:`backward` has returned, and so once every
 :func:`branch` sub-tape has run its backward too. That is safe because
-nothing reads a step's tape again; the next step builds new leaves.
+nothing reads a step's tape again: training drops it, and the next step
+builds new leaves.
 
 :func:`backward` releases what it no longer needs as it goes: once a
 node's rule has run, or has been skipped because no gradient reached the
@@ -191,7 +192,7 @@ def branch(fn, x: Tensor, pool=None):
     the sub-tape's thread. A sub-tape's backward runs on ``pool`` too, so
     ``fn`` must not itself branch onto a pool it could wait on. The
     thread that runs the sub-tape's backward frees it right after, so that
-    a pool thread's malloc arena never holds two steps' sub-tapes.
+    the rest of the outer backward can reuse its memory.
     """
     if not x.requires_grad:
         raise DomainError("branch: x must require a gradient")
@@ -234,7 +235,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; ``b`` may be a (1, n) row broadcast over a's rows."""
-    _check_broadcast(a.value.shape, b.value.shape)
+    _check_broadcast("add", a.value.shape, b.value.shape)
 
     def _bw(g):
         if a.requires_grad:
@@ -246,7 +247,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.value.shape, b.value.shape)
+    _check_broadcast("sub", a.value.shape, b.value.shape)
 
     def _bw(g):
         if a.requires_grad:
@@ -258,7 +259,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a.value.shape, b.value.shape)
+    _check_broadcast("mul", a.value.shape, b.value.shape)
 
     def _bw(g):
         if a.requires_grad:
@@ -284,10 +285,12 @@ def add_const(a: Tensor, c) -> Tensor:
     return Tensor(a.value + c, (a,), lambda g: a._accumulate(g))
 
 
-def _check_broadcast(sa, sb):
+def _check_broadcast(op: str, sa, sb, names=("a", "b")):
+    """Refuse a second operand of shape sb that does not broadcast to sa,
+    naming the operation and its two arguments."""
     ok = sa == sb or (sb == (1, sa[1])) or (sb == (sa[0], 1)) or sb == (1, 1)
     if not ok:
-        raise ShapeError(f"incompatible shapes {sa} and {sb}")
+        raise ShapeError(f"{op}: incompatible shapes {sa} and {sb} of {names[0]} and {names[1]}")
 
 
 def _reduce_to(g, shape):
@@ -415,8 +418,8 @@ def gaussian_log_density(x, mean, std) -> Tensor:
     xt = x if isinstance(x, Tensor) else constant(x)
     mt = mean if isinstance(mean, Tensor) else constant(mean)
     st = std if isinstance(std, Tensor) else constant(std)
-    _check_broadcast(xt.value.shape, mt.value.shape)
-    _check_broadcast(xt.value.shape, st.value.shape)
+    _check_broadcast("gaussian_log_density", xt.value.shape, mt.value.shape, ("x", "mean"))
+    _check_broadcast("gaussian_log_density", xt.value.shape, st.value.shape, ("x", "std"))
     if np.any(st.value <= 0):
         raise DomainError("gaussian_log_density: std must be strictly positive")
     # mean and std broadcast to x's shape, so z and v have it

@@ -11,6 +11,8 @@ dense+sigmoid head on the decoded data mean (selection-model baseline).
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import json
 import math
 import os
@@ -302,6 +304,41 @@ def _tile_workers() -> int:
     return 1
 
 
+# glibc's mallopt parameters (malloc.h) and the values _keep_heap_mapped sets
+_MALLOC_POLICY = (
+    ("M_ARENA_MAX", -8, 1),                  # every thread allocates from one arena
+    ("M_MMAP_THRESHOLD", -3, 32 * 1024**2),  # blocks below 32 MiB come from the heap
+    ("M_TRIM_THRESHOLD", -1, -1),            # the heap is never trimmed
+)
+
+
+@functools.cache
+def _keep_heap_mapped() -> None:
+    """Set glibc's allocator policy for this process, once: one malloc arena
+    for every thread, every block below 32 MiB (the largest mmap threshold
+    glibc takes on 64-bit) from that arena's heap, and a heap that is never
+    trimmed. Memory a training step or a row tile frees then stays mapped
+    and the next one reuses it without faulting pages in again, while the
+    threads share one high-water mark, so the peak does not grow with the
+    thread count. It holds for the whole process: after a call, its
+    resident memory does not shrink back when arrays are freed.
+
+    Call it before starting a thread, since a thread that already has an
+    arena keeps it. On a C library other than glibc it does nothing. A
+    setting glibc refuses raises OSError naming it.
+    """
+    try:
+        if not hasattr(os, "confstr") or not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (ValueError, OSError):  # the name or its value is unknown here
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    for name, param, value in _MALLOC_POLICY:
+        if mallopt(param, value) == 0:
+            raise OSError(f"glibc's mallopt refused {name} = {value}")
+
+
 def _map_tiles(tiles: list, fn) -> None:
     """fn(tile) for every tile, on _tile_workers() threads.
 
@@ -309,9 +346,9 @@ def _map_tiles(tiles: list, fn) -> None:
     arithmetic runs in parallel. Each thread takes the next tile when it is
     done with one, so a thread whose core is taken for a while leaves its
     share to the others instead of holding up the call. The calling thread
-    takes part, so the pool has one thread fewer: each pool thread
-    allocates from a malloc arena of its own. An error raised by fn comes
-    out unchanged.
+    takes part, so the pool has one thread fewer. All threads allocate
+    from one malloc arena (see _keep_heap_mapped). An error raised by fn
+    comes out unchanged.
     """
     workers = min(_tile_workers(), len(tiles))
     pending = iter(tiles)
@@ -472,6 +509,7 @@ def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, 
     per row, for reduce to draw more from. The tiles depend on n and k
     alone, so no bit depends on the thread count or on chunk_rows.
     """
+    _keep_heap_mapped()
     mean_z, std_z = encode(data, nodes, config)
 
     def tile(rows):
@@ -526,8 +564,13 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     ``trace_interval`` iterations. Deterministic given config.seed, and
     bit-identical whatever _tile_workers() gives: with two or more, the
     parallel mask branch of each step, forward and backward, runs on a
-    helper thread (see importance_log_weights and autodiff.branch).
+    helper thread (see importance_log_weights and autodiff.branch). Each
+    step's tape is dropped when the step ends; its memory stays mapped for
+    the next step (see _keep_heap_mapped). A non-finite gradient raises
+    NumericError naming the iteration and the first parameter block, in
+    the order of ``params.names``, whose gradient is not finite.
     """
+    _keep_heap_mapped()
     rng = make_rng(config.seed)
     n, d = dataset.shape
     params = init_params(config, d, rng)
@@ -567,7 +610,13 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
                 g = nodes[k].grad
                 grads[k][...] = 0.0 if g is None else g
             # writes the leaves of this step's tape, which nothing reads again
-            adam_step(flat, grads.flatten(), state, config.learning_rate)
+            try:
+                adam_step(flat, grads.flatten(), state, config.learning_rate)
+            except NumericError as e:
+                block = next(k for k in params.names if not np.all(np.isfinite(grads[k])))
+                raise NumericError(f"iteration {it}: {e} in block {block}") from e
+            # free the step's tape before the next step builds its own
+            del nodes, bound_node, weights, loss, batch, noise
     return params, trace
 
 
@@ -591,14 +640,14 @@ def _check_count(name: str, value) -> None:
 def _imputation_pass(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
                      rng, chunk_rows, reduce) -> None:
     """_row_pass at l_impute draws per row, row i drawing from its own
-    stream, keyed by one draw from rng (default: make_rng(seed + 1)) and
-    by i."""
+    stream, keyed by one draw from rng (default: make_rng((seed + 1) mod
+    2**64), so the largest seed's default stream is make_rng(0)) and by i."""
     _check_count("chunk_rows", chunk_rows)
     if params.n_features != data.shape[1]:
         raise ConsistencyError(
             f"checkpoint has {params.n_features} features, dataset has {data.shape[1]}")
     if rng is None:
-        rng = make_rng(config.seed + 1)
+        rng = make_rng((config.seed + 1) % 2**64)
     _row_pass(data, _nodes(params, requires_grad=False), config, config.l_impute, reduce,
               key=rng.integers(2**64, dtype=np.uint64))
 

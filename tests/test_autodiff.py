@@ -217,6 +217,22 @@ class TestReparameterize:
                               np.zeros((3, 2)))
 
 
+class TestShapeErrorsNameTheirSource:
+    @pytest.mark.parametrize("op", ["add", "sub", "mul"])
+    def test_elementwise_op_names_itself_and_its_arguments(self, op):
+        with pytest.raises(ShapeError, match=re.escape(
+                f"{op}: incompatible shapes (3, 2) and (2, 2) of a and b")):
+            getattr(ad, op)(Tensor(np.zeros((3, 2))), Tensor(np.zeros((2, 2))))
+
+    @pytest.mark.parametrize("mean_shape, std_shape, message", [
+        ((2, 2), (3, 2), "(3, 2) and (2, 2) of x and mean"),
+        ((3, 2), (1, 3), "(3, 2) and (1, 3) of x and std")], ids=["mean", "std"])
+    def test_gaussian_log_density_names_the_argument(self, mean_shape, std_shape, message):
+        with pytest.raises(ShapeError, match=re.escape(f"gaussian_log_density: incompatible "
+                                                       f"shapes {message}")):
+            ad.gaussian_log_density(np.zeros((3, 2)), np.zeros(mean_shape), np.ones(std_shape))
+
+
 class TestLogSumExp:
     def test_closed_forms(self):
         assert np.isclose(ad.log_sum_exp(Tensor([[0.0, 0.0]]), 1).value[0, 0], np.log(2))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import resource
 import sys
 import threading
 import weakref
@@ -359,6 +360,22 @@ class TestTrain:
             else:
                 assert not np.array_equal(trained[name], init[name])
 
+    def test_a_non_finite_gradient_names_the_iteration_and_the_block(self, monkeypatch):
+        data, _, _ = toy_dataset(n=40)
+        steps, made = itertools.count(), []
+        nodes, run_backward = core._nodes, core.backward
+        monkeypatch.setattr(core, "_nodes", lambda *args: made.append(nodes(*args)) or made[-1])
+
+        def poisoned(loss):  # the third step's dec_x.bstd gradient turns NaN
+            run_backward(loss)
+            if next(steps) == 2:
+                made[-1]["dec_x.bstd"].grad = np.full((1, 4), np.nan)
+
+        monkeypatch.setattr(core, "backward", poisoned)
+        with pytest.raises(NumericError, match="^iteration 2: adam_step: non-finite gradient "
+                                               "in block dec_x.bstd$"):
+            core.train(data, small_config(iterations=5))
+
 
 class TestImpute:
     def test_observed_entries_bit_exact(self):
@@ -436,6 +453,17 @@ class TestImpute:
             core.impute(data, params, cfg, chunk_rows=chunk_rows)
         with pytest.raises(DomainError, match="chunk_rows"):
             core.multiple_impute(data, params, cfg, 2, chunk_rows=chunk_rows)
+
+    def test_the_largest_seed_imputes_with_its_default_stream(self):
+        data, _, _ = toy_dataset(n=12)
+        cfg = small_config(iterations=2, seed=2**64 - 1)
+        params, _ = core.train(data, cfg)
+        got = core.impute(data, params, cfg)
+        want = core.impute(data, params, cfg, rng=make_rng(0))  # seed + 1 wraps to 0
+        assert np.array_equal(_bits(got.completed), _bits(want.completed))
+        draws = core.multiple_impute(data, params, cfg, 2)
+        for got, want in zip(draws, core.multiple_impute(data, params, cfg, 2, rng=make_rng(0))):
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_alpha_zero_reports_uninformative_mask(self):
         data, _, _ = toy_dataset(n=20)
@@ -799,6 +827,64 @@ class TestTrainFork:
         monkeypatch.setattr(core, "_tile_workers", lambda: workers)
         core.train(data, cfg)
         assert len(masks) == cfg.iterations and alive == [0] * cfg.iterations
+
+
+class _FakeLibc:
+    """Stands in for ctypes.CDLL(None): records mallopt calls and returns
+    ``result`` from each."""
+
+    def __init__(self, result=1):
+        self.calls, self.result = [], result
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return self.result
+
+        self.mallopt = mallopt
+
+
+class TestHeapPolicy:
+    """_keep_heap_mapped: one malloc arena whose freed memory stays mapped."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        core._keep_heap_mapped.cache_clear()
+        yield
+        core._keep_heap_mapped.cache_clear()  # the next call sets the real policy again
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_repeated_training_faults_in_no_pages(self, monkeypatch, workers):
+        data, _, _ = toy_dataset(n=300)
+        cfg = core.ModelConfig(iterations=20, seed=3)
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        core.train(data, cfg)  # maps what a step needs
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        core.train(data, cfg)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / cfg.iterations < 100
+
+    def test_mallopt_is_called_once_per_process(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(core.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(core.ctypes, "CDLL", lambda name: libc)
+        core._keep_heap_mapped()
+        core._keep_heap_mapped()
+        assert libc.calls == [(-8, 1), (-3, 32 * 1024**2), (-1, -1)]
+
+    @pytest.mark.parametrize("error", [ValueError, OSError])
+    def test_another_c_library_is_left_alone(self, monkeypatch, error):
+        def confstr(name):
+            raise error(name)
+
+        monkeypatch.setattr(core.os, "confstr", confstr)
+        monkeypatch.setattr(core.ctypes, "CDLL", lambda name: pytest.fail("loaded the C library"))
+        core._keep_heap_mapped()
+
+    def test_a_refused_setting_raises_naming_it(self, monkeypatch):
+        monkeypatch.setattr(core.os, "confstr", lambda name: "glibc 2.36")
+        monkeypatch.setattr(core.ctypes, "CDLL", lambda name: _FakeLibc(result=0))
+        with pytest.raises(OSError, match="M_ARENA_MAX = 1"):
+            core._keep_heap_mapped()
 
 
 class TestMultipleImpute:
