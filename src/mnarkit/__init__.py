@@ -6,7 +6,7 @@ synthesizers, baseline imputers and an evaluation harness.
 """
 
 from .masking import (FeatureStats, IncompleteMatrix, compose_missing,
-                      compose_observed, feature_stats, recombine, standardize,
+                      compose_observed, feature_stats, recombine,
                       standardize_complete, zero_impute)
 from .model import (ImputationResult, ModelConfig, ParamBlocks, impute,
                     load_checkpoint, multiple_impute, save_checkpoint, train)
@@ -20,6 +20,6 @@ __all__ = [
     "ModelConfig", "ParamBlocks", "apply_missing", "compose_missing",
     "compose_observed", "equicorrelated_cov", "feature_stats",
     "gaussian_synth", "impute", "load_checkpoint", "make_rng",
-    "multiple_impute", "recombine", "save_checkpoint", "standardize",
-    "standardize_complete", "train", "zero_impute",
+    "multiple_impute", "recombine", "save_checkpoint", "standardize_complete",
+    "train", "zero_impute",
 ]

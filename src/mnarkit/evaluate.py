@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -78,11 +79,34 @@ def rating_transform(r, r_max: int, epsilon=0.0):
 
 @dataclass(frozen=True)
 class GaussianDatasetSpec:
-    """Synthetic correlated-Gaussian data source for the experiment runner."""
+    """``n`` rows of ``d`` unit-variance Gaussian features with pairwise
+    correlation ``rho``, drawn from the stream of ``seed`` (keys ``data.*``)."""
 
     n: int = 2000
     d: int = 4
     rho: float = 0.7
+    seed: int = 0
+
+    def __post_init__(self):
+        core.check_field_types(self, "data.")
+        for name in ("n", "d"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"data.{name}: must be >= 1, got {getattr(self, name)}")
+        if not math.isfinite(self.rho):
+            raise DomainError(f"data.rho: must be finite, got {self.rho}")
+        if not 0 <= self.seed < 2**64:
+            raise DomainError(f"data.seed: must lie in [0, 2**64), got {self.seed}")
+
+
+def draw_dataset(spec: GaussianDatasetSpec, missing_spec: synth.MissingSpec):
+    """(truth, observed) at ``spec.seed``: the complete matrix, standardized
+    by its own feature statistics, and its part left observed by a mask that
+    ``missing_spec`` draws from the same stream after the data."""
+    rng = synth.make_rng(spec.seed)
+    x = synth.gaussian_synth(spec.n, spec.d, np.zeros(spec.d),
+                             synth.equicorrelated_cov(spec.d, spec.rho), rng)
+    x = standardize_complete(x, feature_stats(x))
+    return x, compose_observed(x, synth.apply_missing(x, missing_spec, rng))
 
 
 @dataclass
@@ -116,17 +140,16 @@ class EvalReport:
 
 def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.MissingSpec,
                    methods, config: core.ModelConfig, n_runs: int = 5,
-                   seeds=None, mask_threshold: float = 0.5) -> EvalReport:
-    """Generate data, mask, standardize, train, impute and score per seed.
+                   seeds=None) -> EvalReport:
+    """Draw the data (``draw_dataset``), train, impute and score per seed;
+    the seed replaces both ``dataset_spec.seed`` and ``config.seed``.
 
     Metrics are computed in standardized space; standardization statistics
     come from the complete matrix before masking. A cell that fails with a
     ``MnarkitError`` is recorded as an ``error`` metric row rather than
     dropped; any other exception is a bug and propagates.
     """
-    if seeds is None:
-        seeds = list(range(n_runs))
-    seeds = list(seeds)
+    seeds = list(range(n_runs) if seeds is None else seeds)
     report = EvalReport()
     setting = f"{missing_spec.kind}:k={missing_spec.k}"
     per_method = {m: {"rmse_missing": [], "mse_missing": [], "mask_accuracy": []}
@@ -134,15 +157,8 @@ def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.Missin
     runtimes = {m: 0.0 for m in methods}
     floors = []
     for seed in seeds:
-        rng = synth.make_rng(seed)
-        x = synth.gaussian_synth(dataset_spec.n, dataset_spec.d,
-                                 np.zeros(dataset_spec.d),
-                                 synth.equicorrelated_cov(dataset_spec.d, dataset_spec.rho),
-                                 rng)
-        stats = feature_stats(x)
-        x_std = standardize_complete(x, stats)
-        mask = synth.apply_missing(x_std, missing_spec, rng)
-        observed = compose_observed(x_std, mask)
+        truth, observed = draw_dataset(replace(dataset_spec, seed=seed), missing_spec)
+        mask = observed.mask
         feats = missing_features(mask)
         floors.append(random_floor(missing_spec.k))
         for method in methods:
@@ -154,11 +170,11 @@ def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.Missin
                 report.add(method, setting, f"error:seed={seed}:{type(e).__name__}", [np.nan])
                 continue
             runtimes[method] += time.perf_counter() - start
-            per_method[method]["mse_missing"].append(mse_missing(x_std, result.completed, mask))
-            per_method[method]["rmse_missing"].append(rmse_missing(x_std, result.completed, mask))
+            per_method[method]["mse_missing"].append(mse_missing(truth, result.completed, mask))
+            per_method[method]["rmse_missing"].append(rmse_missing(truth, result.completed, mask))
             if feats:
                 per_method[method]["mask_accuracy"].append(
-                    mask_accuracy(mask, result.prob_mask, mask_threshold, feats))
+                    mask_accuracy(mask, result.prob_mask, features=feats))
     for method in methods:
         for metric, values in per_method[method].items():
             if values:

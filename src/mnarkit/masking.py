@@ -49,7 +49,7 @@ class IncompleteMatrix:
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-feature mean/std used for (de)standardization. Population std."""
+    """Per-feature mean/std used for standardization. Population std."""
 
     mean: np.ndarray
     std: np.ndarray
@@ -104,40 +104,6 @@ def feature_stats(x: np.ndarray) -> FeatureStats:
         bad = int(np.flatnonzero(std <= 0)[0])
         raise DegenerateFeatureError(f"feature {bad} has zero spread")
     return FeatureStats(x.mean(axis=0), std)
-
-
-def observed_feature_stats(data: IncompleteMatrix) -> FeatureStats:
-    """Population mean/std per feature over observed entries only."""
-    mean = np.empty(data.shape[1])
-    std = np.empty(data.shape[1])
-    for j in range(data.shape[1]):
-        col = data.values[data.mask[:, j] == 1, j]
-        if col.size < 2:
-            raise DegenerateFeatureError(f"feature {j} has fewer than 2 observed entries")
-        mean[j] = col.mean()
-        std[j] = col.std()
-        if std[j] <= 0:
-            raise DegenerateFeatureError(f"feature {j} is constant over observed entries")
-    return FeatureStats(mean, std)
-
-
-def standardize(data: IncompleteMatrix, stats: FeatureStats | None = None):
-    """Transform observed entries to (v - mean) / std; returns (data, stats).
-
-    When stats is None they are computed from the observed entries of the
-    input. Missing positions are untouched (and remain unread).
-    """
-    if stats is None:
-        stats = observed_feature_stats(data)
-    if stats.mean.size != data.shape[1]:
-        raise ShapeError("stats length does not match feature count")
-    values = np.where(data.mask == 1, (data.values - stats.mean) / stats.std, data.values)
-    return IncompleteMatrix(values, data.mask), stats
-
-
-def destandardize(data: IncompleteMatrix, stats: FeatureStats) -> IncompleteMatrix:
-    values = np.where(data.mask == 1, data.values * stats.std + stats.mean, data.values)
-    return IncompleteMatrix(values, data.mask)
 
 
 def standardize_complete(x: np.ndarray, stats: FeatureStats) -> np.ndarray:

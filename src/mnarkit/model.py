@@ -33,13 +33,23 @@ CHECKPOINT_VERSION = 3
 ENCODER_VARIANTS = ("zero_impute", "set_function")
 STRUCTURES = ("parallel", "serial")
 
-# ModelConfig annotation (a string, see the __future__ import) -> the types
-# its field accepts; a bool is never accepted as a number
-_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (tuple, list)}
+# config-dataclass annotation (a string, see the __future__ import) -> the
+# types its field accepts; a bool is never accepted as a number
+_FIELD_TYPES = {"int": int, "float": (int, float), "str": str, "tuple": (tuple, list),
+                "tuple[str, ...]": (tuple, list)}
 
 
 def _strict_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_field_types(config, prefix: str = "") -> None:
+    """Refuse the first field of the config dataclass whose value is not of
+    its annotated type; the DomainError names ``prefix`` + the field."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise DomainError(f"{prefix}{f.name}: must be of type {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -62,10 +72,7 @@ class ModelConfig:
     trace_interval: int = 100
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
-                raise DomainError(f"{f.name} must be of type {f.type}, got {value!r}")
+        check_field_types(self)
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if not self.hidden_sizes or not all(_strict_int(h) and h >= 1 for h in self.hidden_sizes):
             raise DomainError("hidden_sizes must be a non-empty sequence of ints >= 1, "

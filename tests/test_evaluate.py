@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,13 @@ class TestReportAndRunner:
         monkeypatch.setattr(baselines, "run_method", bug)
         with pytest.raises(TypeError):
             self._tiny_run([0])
+
+    @pytest.mark.parametrize("field, value", [
+        ("n", 2.5), ("n", 0), ("d", True), ("d", -1), ("rho", "0.7"), ("rho", math.inf),
+        ("seed", -1), ("seed", 2**64)])
+    def test_dataset_spec_refuses_a_bad_value_by_its_key(self, field, value):
+        with pytest.raises(DomainError, match=f"^data\\.{field}: "):
+            evaluate.GaussianDatasetSpec(**{field: value})
 
     def test_mean_imputer_rmse_near_one_on_standardized_mcar(self):
         # imputing ~0 for unit-variance features puts the RMSE near 1

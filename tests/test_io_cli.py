@@ -4,7 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from mnarkit import baselines, cli, io, model as core
+from mnarkit import baselines, cli, evaluate, io, model as core, synth
 from mnarkit.errors import ParseError
 from mnarkit.masking import IncompleteMatrix
 
@@ -141,7 +141,7 @@ class TestCli:
 
     def test_bench_writes_report(self, tmp_path):
         out = str(tmp_path / "b")
-        assert cli.main(["bench", "--out", out, "--n", "50", "--n-runs", "2",
+        assert cli.main(["bench", "--out", out, "--n", "50", "--seeds", "0,1",
                          "--methods", "conjunction,mean",
                          "--missing-kind", "self_mask", "--missing-k", "0.8",
                          *FAST]) == 0
@@ -229,8 +229,10 @@ class TestCli:
         (["synth", "--config", "{cfg}"], "missng.k = 0.1"),
         (["train", "--data", "observed.csv", "--config", "{cfg}"], "modle.alpha = 0.5"),
         (["synth", "--config", "{cfg}"], "model.alpha = 0.5"),
-        (["synth", "--config", "{cfg}"], "data.n = 50"),
-        (["train", "--data", "observed.csv", "--config", "{cfg}"], "run.method = mean")])
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "data.n = 50"),
+        (["train", "--data", "observed.csv", "--config", "{cfg}"], "run.method = mean"),
+        (["bench", "--config", "{cfg}"], "model.seed = 7"),
+        (["bench", "--config", "{cfg}"], "data.seed = 7")])
     def test_key_outside_the_commands_sections_exits_1_naming_it(self, tmp_path, capsys,
                                                                  argv, line):
         cfgfile = tmp_path / "bad.cfg"
@@ -239,6 +241,28 @@ class TestCli:
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
         key = line.split(" = ")[0]
         assert capsys.readouterr().err == f"error: {key}: unknown config key\n"
+        assert not (tmp_path / "o" / "config_echo.txt").exists()
+
+    def test_bench_has_no_seed_flag(self, tmp_path, capsys):
+        # run.seeds seeds each cell's data and model, so a --seed would set nothing
+        with pytest.raises(SystemExit) as e:
+            cli.main(["bench", "--seed", "7", "--out", str(tmp_path / "o")])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["synth", "--seed", "-1"], "data.seed"),
+        (["synth", "--seed", str(2**64)], "data.seed"),
+        (["synth", "--n", "0"], "data.n"),
+        (["synth", "--d", "0"], "data.d"),
+        (["synth", "--rho", "nan"], "data.rho"),
+        (["bench", "--seeds", "-1"], "run.seeds"),
+        (["bench", "--seeds", ""], "run.seeds"),
+        (["bench", "--methods", "conjunction,bogus"], "run.methods"),
+        (["bench", "--methods", ""], "run.methods")])
+    def test_bad_data_or_run_value_exits_1_naming_the_key(self, tmp_path, capsys, argv, key):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not (tmp_path / "o" / "config_echo.txt").exists()
 
     @pytest.mark.parametrize("argv", [
@@ -253,6 +277,7 @@ class TestCli:
 
 # a value other than the default for every field of each config section, as text
 NON_DEFAULT = {
+    "data": {"n": "30", "d": "3", "rho": "0.5", "seed": "9"},
     "model": {"latent_dim": "3", "hidden_sizes": "5,7", "k_train": "4", "l_impute": "9",
               "alpha": "0.25", "learning_rate": "0.002", "iterations": "7",
               "batch_size": "16", "encoder": "set_function", "set_embedding_size": "6",
@@ -260,18 +285,26 @@ NON_DEFAULT = {
               "trace_interval": "2"},
     "missing": {"kind": "mixed", "k": "0.3", "feature_subset": "0,2",
                 "mcar_probability": "0.1"},
+    "run": {"seeds": "3,1", "methods": "mean,conjunction"},
 }
-COMMANDS = {"model": (["train", "--data", "observed.csv"], ["bench"]),
-            "missing": (["synth"], ["bench"])}
+COMMANDS = {"synth": ["synth"], "train": ["train", "--data", "observed.csv"],
+            "bench": ["bench"]}
 
 
 def _resolved(section, argv):
-    [resolved] = cli._resolve(cli.build_parser().parse_args(argv), section)
-    return resolved
+    return cli._resolve(cli.build_parser().parse_args(argv))[section]
+
+
+def _report_without_runtime(out):
+    with open(os.path.join(out, "report.csv")) as f:
+        rows = [line.rstrip("\n").split(",") for line in f]
+    drop = rows[0].index("runtime_s")
+    return [row[:drop] + row[drop + 1:] for row in rows]
 
 
 class TestConfigTable:
-    """Every field of ModelConfig and MissingSpec is a config key and a flag."""
+    """Every field of each SECTIONS dataclass is a config key and a flag of
+    each command that reads it."""
 
     @pytest.mark.parametrize("section, name", [
         (section, f.name) for section, cls in cli.SECTIONS.items() for f in fields(cls)])
@@ -279,10 +312,13 @@ class TestConfigTable:
         text = NON_DEFAULT[section][name]
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text(f"{section}.{name} = {text}\n")
-        flag = "--" + (name if section == "model" else f"{section}_{name}").replace("_", "-")
-        for command in COMMANDS[section]:
-            from_flag = _resolved(section, [*command, flag, text])
-            from_file = _resolved(section, [*command, "--config", str(cfgfile)])
+        flag = "--" + (f"{section}_{name}" if section == "missing" else name).replace("_", "-")
+        readers = [command for command, reads in cli.READS.items()
+                   if name in [f.name for f in reads.get(section, ())]]
+        assert readers
+        for command in readers:
+            from_flag = _resolved(section, [*COMMANDS[command], flag, text])
+            from_file = _resolved(section, [*COMMANDS[command], "--config", str(cfgfile)])
             assert from_flag == from_file
             assert from_flag != cli.SECTIONS[section]()
 
@@ -295,6 +331,32 @@ class TestConfigTable:
         echo = os.path.join(out, "config_echo.txt")
         assert (_resolved("missing", ["synth", "--config", echo])
                 == _resolved("missing", ["synth", *flags]))
+
+    def test_synth_echo_reproduces_the_csvs(self, tmp_path):
+        first, again = str(tmp_path / "s"), str(tmp_path / "s2")
+        assert cli.main(["synth", "--out", first, "--n", "50", "--d", "3", "--rho", "0.4",
+                         "--seed", "6", "--missing-kind", "mixed",
+                         "--missing-mcar-probability", "0.2"]) == 0
+        echo = os.path.join(first, "config_echo.txt")
+        assert "#" not in open(echo).read()
+        assert cli.main(["synth", "--out", again, "--config", echo]) == 0
+        for name in ("truth.csv", "observed.csv"):
+            assert (tmp_path / "s2" / name).read_bytes() == (tmp_path / "s" / name).read_bytes()
+        data, _ = io.load_matrix_csv(os.path.join(again, "observed.csv"))
+        assert data.shape == (50, 3)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_synth_writes_the_data_bench_draws_at_its_seed(self, tmp_path, seed):
+        out = str(tmp_path / "s")
+        assert cli.main(["synth", "--out", out, "--n", "40", "--seed", str(seed)]) == 0
+        truth, observed = evaluate.draw_dataset(evaluate.GaussianDatasetSpec(n=40, seed=seed),
+                                                synth.MissingSpec())
+        written, _ = io.load_complete_csv(os.path.join(out, "truth.csv"))
+        written_obs, _ = io.load_matrix_csv(os.path.join(out, "observed.csv"))
+        assert np.array_equal(written, truth)
+        assert np.array_equal(written_obs.mask, observed.mask)
+        obs = observed.mask == 1
+        assert np.array_equal(written_obs.values[obs], observed.values[obs])
 
     def test_train_echo_reproduces_the_model_config(self, tmp_path):
         synth_dir = str(tmp_path / "s")
@@ -309,15 +371,16 @@ class TestConfigTable:
         assert "# run.data = " in open(echo).read()
 
     def test_bench_echo_reproduces_both_configs(self, tmp_path):
-        out = str(tmp_path / "b")
-        flags = ["--missing-kind", "mixed", "--missing-k", "0.3", "--alpha", "0.5",
-                 "--hidden-sizes", "5,7"]
-        assert cli.main(["bench", "--out", out, "--n", "40", "--n-runs", "1",
-                         "--methods", "mean", *flags]) == 0
+        out, again = str(tmp_path / "b"), str(tmp_path / "b2")
+        flags = ["--n", "40", "--d", "3", "--rho", "0.5", "--seeds", "4,1",
+                 "--methods", "conjunction,mean", "--missing-kind", "mixed",
+                 "--missing-k", "0.3", "--alpha", "0.5", *FAST]
+        assert cli.main(["bench", "--out", out, *flags]) == 0
         echo = os.path.join(out, "config_echo.txt")
-        args = cli.build_parser().parse_args(["bench", "--config", echo])
-        assert (cli._resolve(args, "model", "missing")
-                == cli._resolve(cli.build_parser().parse_args(["bench", *flags]),
-                                "model", "missing"))
         text = open(echo).read()
-        assert "# data.n = 40\n" in text and "# run.methods = mean\n" in text
+        assert "#" not in text and "seed =" not in text
+        assert "data.n = 40\n" in text and "run.methods = conjunction,mean\n" in text
+        assert (cli._resolve(cli.build_parser().parse_args(["bench", "--config", echo]))
+                == cli._resolve(cli.build_parser().parse_args(["bench", *flags])))
+        assert cli.main(["bench", "--out", again, "--config", echo]) == 0
+        assert _report_without_runtime(again) == _report_without_runtime(out)

@@ -3,8 +3,8 @@ import pytest
 
 from mnarkit.errors import ConsistencyError, DegenerateFeatureError, DomainError, ShapeError
 from mnarkit.masking import (FeatureStats, IncompleteMatrix, compose_missing,
-                             compose_observed, destandardize, recombine,
-                             standardize, zero_impute)
+                             compose_observed, feature_stats, recombine,
+                             standardize_complete, zero_impute)
 
 rng = np.random.default_rng(7)
 
@@ -77,48 +77,20 @@ class TestRecombine:
 
 class TestStandardize:
     def test_two_point_column(self):
-        data = IncompleteMatrix(np.array([[1.0], [3.0]]), np.ones((2, 1)))
-        out, stats = standardize(data)
+        x = np.array([[1.0], [3.0]])
+        stats = feature_stats(x)
         # population convention: mean 2, std 1
-        assert np.allclose(out.values[:, 0], [-1.0, 1.0])
+        assert np.allclose(standardize_complete(x, stats)[:, 0], [-1.0, 1.0])
         assert stats.mean[0] == 2.0 and stats.std[0] == 1.0
 
     def test_identity_stats_leave_data_unchanged(self):
-        data = IncompleteMatrix(rng.standard_normal((4, 2)), np.ones((4, 2)))
+        x = rng.standard_normal((4, 2))
         stats = FeatureStats(np.zeros(2), np.ones(2))
-        out, _ = standardize(data, stats)
-        assert np.array_equal(out.values, data.values)
-
-    def test_single_observed_value_errors(self):
-        data = IncompleteMatrix(np.array([[1.0], [2.0]]), np.array([[1.0], [0.0]]))
-        with pytest.raises(DegenerateFeatureError):
-            standardize(data)
-
-    def test_round_trip(self):
-        data = IncompleteMatrix(rng.standard_normal((10, 3)) * 5 + 2,
-                                (rng.random((10, 3)) < 0.7).astype(float))
-        out, stats = standardize(data)
-        back = destandardize(out, stats)
-        obs = data.mask == 1
-        assert np.all(np.abs(back.values[obs] - data.values[obs]) < 1e-10)
-
-    def test_never_reads_sentinels(self):
-        # poison missing positions with NaN; observed results must be unaffected
-        values = rng.standard_normal((10, 3))
-        mask = (rng.random((10, 3)) < 0.6).astype(float)
-        mask[:3] = 1  # guarantee enough observed entries
-        poisoned = values.copy()
-        poisoned[mask == 0] = np.nan
-        a, stats_a = standardize(IncompleteMatrix(values, mask))
-        b, stats_b = standardize(IncompleteMatrix(poisoned, mask))
-        assert np.array_equal(stats_a.mean, stats_b.mean)
-        obs = mask == 1
-        assert np.array_equal(a.values[obs], b.values[obs])
+        assert np.array_equal(standardize_complete(x, stats), x)
 
     def test_constant_feature_errors(self):
-        data = IncompleteMatrix(np.ones((5, 1)), np.ones((5, 1)))
-        with pytest.raises(DegenerateFeatureError):
-            standardize(data)
+        with pytest.raises(DegenerateFeatureError, match="feature 0"):
+            feature_stats(np.ones((5, 1)))
 
     def test_stats_std_must_be_positive(self):
         with pytest.raises(DegenerateFeatureError):
