@@ -323,11 +323,6 @@ def repeat_rows(a: Tensor, k: int) -> Tensor:
     return Tensor(np.repeat(a.value, k, axis=0), (a,), _bw)
 
 
-def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.value.sum(keepdims=True).reshape(1, 1), (a,),
-                  lambda g: a._accumulate(np.full_like(a.value, g[0, 0])))
-
-
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     # the read-only broadcast view is a valid gradient: none is written in place
     return Tensor(a.value.sum(axis=axis, keepdims=True), (a,),

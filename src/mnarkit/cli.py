@@ -38,6 +38,9 @@ class RunSpec:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
                 raise DomainError(f"run.seeds: each must be an int in [0, 2**64), got {seed!r}")
+        repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
+        if repeated:
+            raise DomainError(f"run.seeds: seed {repeated[0]} is repeated")
         for method in self.methods:
             if method not in baselines.METHODS:
                 raise DomainError(f"run.methods: unknown method {method!r}")

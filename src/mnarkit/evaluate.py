@@ -92,8 +92,11 @@ class GaussianDatasetSpec:
         for name in ("n", "d"):
             if getattr(self, name) < 1:
                 raise DomainError(f"data.{name}: must be >= 1, got {getattr(self, name)}")
-        if not math.isfinite(self.rho):
-            raise DomainError(f"data.rho: must be finite, got {self.rho}")
+        # the equicorrelated covariance is positive definite exactly there
+        lower = -1.0 / (self.d - 1) if self.d > 1 else -math.inf
+        if not lower < self.rho < 1.0:
+            raise DomainError(f"data.rho: must lie in ({lower:g}, 1) at d = {self.d}, "
+                              f"got {self.rho}")
         if not 0 <= self.seed < 2**64:
             raise DomainError(f"data.seed: must lie in [0, 2**64), got {self.seed}")
 

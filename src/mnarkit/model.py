@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import glob
 import json
 import math
 import os
@@ -72,27 +73,28 @@ class ModelConfig:
     trace_interval: int = 100
 
     def __post_init__(self):
-        check_field_types(self)
+        check_field_types(self, "model.")
         object.__setattr__(self, "hidden_sizes", tuple(self.hidden_sizes))
         if not self.hidden_sizes or not all(_strict_int(h) and h >= 1 for h in self.hidden_sizes):
-            raise DomainError("hidden_sizes must be a non-empty sequence of ints >= 1, "
+            raise DomainError("model.hidden_sizes: must be a non-empty sequence of ints >= 1, "
                               f"got {self.hidden_sizes}")
         for name in ("latent_dim", "k_train", "l_impute", "batch_size", "set_embedding_size",
                      "set_code_size", "trace_interval"):
             if getattr(self, name) < 1:
-                raise DomainError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise DomainError(f"model.{name}: must be >= 1, got {getattr(self, name)}")
         if self.iterations < 0:
-            raise DomainError(f"iterations must be >= 0, got {self.iterations}")
+            raise DomainError(f"model.iterations: must be >= 0, got {self.iterations}")
         if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must lie in [0, 2**64), got {self.seed}")
+            raise DomainError(f"model.seed: must lie in [0, 2**64), got {self.seed}")
         if not 0 < self.learning_rate < math.inf:
-            raise DomainError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+            raise DomainError("model.learning_rate: must be finite and > 0, "
+                              f"got {self.learning_rate}")
         if not 0 <= self.alpha < math.inf:
-            raise DomainError(f"alpha must be finite and >= 0, got {self.alpha}")
+            raise DomainError(f"model.alpha: must be finite and >= 0, got {self.alpha}")
         if self.encoder not in ENCODER_VARIANTS:
-            raise DomainError(f"unknown encoder variant {self.encoder!r}")
+            raise DomainError(f"model.encoder: unknown encoder variant {self.encoder!r}")
         if self.structure not in STRUCTURES:
-            raise DomainError(f"unknown structure {self.structure!r}")
+            raise DomainError(f"model.structure: unknown structure {self.structure!r}")
 
 
 class ParamBlocks:
@@ -293,21 +295,29 @@ def _row_tiles(n: int, k: int) -> list[slice]:
     return [slice(i * n // q, (i + 1) * n // q) for i in range(q)]
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _tile_workers() -> int:
-    """Threads that score tiles at once: the CPUs this process may run on
-    divided by the threads each BLAS call takes, read from
-    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as OpenBLAS reads them.
-    With neither set to a positive int, BLAS already spreads each product
-    over every core, so one thread scores the tiles in turn."""
+    """Threads that score tiles at once. Where numpy's OpenBLAS is loaded,
+    one per CPU this process may run on, as mnarkit holds BLAS to one
+    thread while tiles run (see _blas_threads). Elsewhere, the CPUs divided
+    by the threads each BLAS call takes, read from OPENBLAS_NUM_THREADS,
+    else OMP_NUM_THREADS, as OpenBLAS reads them; with neither set to a
+    positive int, BLAS already spreads each product over every core, so
+    one thread scores the tiles in turn."""
+    if _openblas() is not None:
+        return _cpus()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
         try:
             blas_threads = int(os.environ.get(var, ""))
         except ValueError:
             continue
         if blas_threads >= 1:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            return max(1, cpus // blas_threads)
+            return max(1, _cpus() // blas_threads)
     return 1
 
 
@@ -344,6 +354,56 @@ def _keep_heap_mapped() -> None:
     for name, param, value in _MALLOC_POLICY:
         if mallopt(param, value) == 0:
             raise OSError(f"glibc's mallopt refused {name} = {value}")
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheel
+    bundles under numpy.libs, bound to the copy numpy loaded; None where no
+    such library is loaded (another BLAS, another platform)."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        try:  # RTLD_NOLOAD: bind a library already loaded, never load one
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            continue
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+# the BLAS thread count is global to the process: the mnarkit calls inside
+# _blas_threads now, and the count the outermost of them found
+_blas_lock = threading.Lock()
+_blas_held = {"depth": 0, "saved": None}
+
+
+@contextlib.contextmanager
+def _blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS on ``count`` threads, then set
+    back the count found on entry, also on error. Calls that nest, or run
+    at once on several threads, share one depth count, and the last to
+    leave sets back the count the first one found. Where numpy's OpenBLAS
+    is not loaded it does nothing."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    get, set_ = lib
+    with _blas_lock:
+        found = get()
+        if _blas_held["depth"] == 0:
+            _blas_held["saved"] = found
+        _blas_held["depth"] += 1
+        set_(count)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_held["depth"] -= 1
+            set_(found if _blas_held["depth"] else _blas_held["saved"])
 
 
 def _map_tiles(tiles: list, fn) -> None:
@@ -514,10 +574,11 @@ def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, 
     Philox keyed by ``key`` with i in the top word of its counter, so that
     no two rows' streams overlap, and streams holds the tile's streams, one
     per row, for reduce to draw more from. The tiles depend on n and k
-    alone, so no bit depends on the thread count or on chunk_rows.
+    alone, and the pass runs BLAS on one thread whatever count the caller
+    set (see _blas_threads), so no bit depends on the thread count or on
+    chunk_rows.
     """
     _keep_heap_mapped()
-    mean_z, std_z = encode(data, nodes, config)
 
     def tile(rows):
         if noise is None:
@@ -531,7 +592,9 @@ def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, 
         chunk = IncompleteMatrix(data.values[rows], data.mask[rows])
         reduce(rows, importance_log_weights(chunk, latent, nodes, config), streams)
 
-    _map_tiles(_row_tiles(data.shape[0], k), tile)
+    with _blas_threads(1):  # one BLAS thread per tile thread, one tile thread per CPU
+        mean_z, std_z = encode(data, nodes, config)
+        _map_tiles(_row_tiles(data.shape[0], k), tile)
 
 
 def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
@@ -569,9 +632,15 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
 
     trace is a list of (iteration, bound) pairs sampled every
     ``trace_interval`` iterations. Deterministic given config.seed, and
-    bit-identical whatever _tile_workers() gives: with two or more, the
-    parallel mask branch of each step, forward and backward, runs on a
-    helper thread (see importance_log_weights and autodiff.branch). Each
+    bit-identical whatever _tile_workers() gives and whatever BLAS thread
+    count the caller set: in the parallel structure at alpha > 0, BLAS runs
+    on one thread and, with two or more tile workers, each step's mask
+    branch, forward and backward, on a helper thread (see
+    importance_log_weights and autodiff.branch). Any other configuration
+    runs with BLAS on every CPU (see _blas_threads), so its last bits may
+    depend on the CPU count where OpenBLAS blocks the inner sum of a
+    weight gradient (batch rows x k_train long) differently on one thread
+    and on several. Each
     step's tape is dropped when the step ends; its memory stays mapped for
     the next step (see _keep_heap_mapped). A non-finite gradient raises
     NumericError naming the iteration and the first parameter block, in
@@ -587,8 +656,12 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     trace = []
     order = rng.permutation(n)
     pos = 0
-    # a step has two branches, so one helper thread; it starts on first use
-    with ThreadPoolExecutor(1) if _tile_workers() > 1 else contextlib.nullcontext() as pool:
+    # a branched step keeps one BLAS thread on any number of CPUs, so that
+    # its bits do not depend on them; the helper thread starts on first use
+    branched = config.structure == "parallel" and config.alpha != 0.0
+    fork = branched and _tile_workers() > 1
+    with (_blas_threads(1 if branched else _cpus()),
+          ThreadPoolExecutor(1) if fork else contextlib.nullcontext() as pool):
         for it in range(config.iterations):
             take = min(config.batch_size, n)
             if pos + take > n:

@@ -32,11 +32,10 @@ class MissingSpec:
 
     def __post_init__(self):
         if self.kind not in SELF_MASK_KINDS:
-            raise DomainError(f"unknown missing kind {self.kind!r}")
-        if not 0.0 <= self.k <= 1.0:
-            raise DomainError("k must lie in [0, 1]")
-        if not 0.0 <= self.mcar_probability <= 1.0:
-            raise DomainError("mcar_probability must lie in [0, 1]")
+            raise DomainError(f"missing.kind: unknown missing kind {self.kind!r}")
+        for name in ("k", "mcar_probability"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DomainError(f"missing.{name}: must lie in [0, 1], got {getattr(self, name)}")
         object.__setattr__(self, "feature_subset", tuple(self.feature_subset))
 
 

@@ -65,7 +65,7 @@ class TestDense:
 
             def build(flat):
                 w = Tensor(flat.reshape(3, 4))
-                return ad.sum_all(ad.dense(Tensor(x), w, Tensor(b))), w
+                return ad.mean_all(ad.dense(Tensor(x), w, Tensor(b))), w
 
             check_grad(build, w0.ravel(), rtol=1e-5)
 
@@ -75,7 +75,7 @@ class TestDense:
 
         def build(flat):
             xt = Tensor(flat.reshape(2, 3))
-            return ad.sum_all(ad.dense(xt, Tensor(w), Tensor(np.zeros((1, 4))))), xt
+            return ad.mean_all(ad.dense(xt, Tensor(w), Tensor(np.zeros((1, 4))))), xt
 
         check_grad(build, x0.ravel())
 
@@ -104,7 +104,7 @@ class TestActivations:
 
             def build(flat):
                 xt = Tensor(flat.reshape(2, 3))
-                return ad.sum_all(activation(xt)), xt
+                return ad.mean_all(activation(xt)), xt
 
             check_grad(build, x0)
 
@@ -143,7 +143,7 @@ class TestGaussianLogDensity:
 
             def build(flat):
                 mt = Tensor(flat.reshape(3, 2))
-                return ad.sum_all(ad.gaussian_log_density(x, mt, Tensor(s))), mt
+                return ad.mean_all(ad.gaussian_log_density(x, mt, Tensor(s))), mt
 
             check_grad(build, m0, rtol=1e-5)
 
@@ -154,7 +154,7 @@ class TestGaussianLogDensity:
 
         def build(flat):
             st = Tensor(flat.reshape(3, 2))
-            return ad.sum_all(ad.gaussian_log_density(x, m, st)), st
+            return ad.mean_all(ad.gaussian_log_density(x, m, st)), st
 
         check_grad(build, s0, rtol=1e-5)
 
@@ -185,7 +185,7 @@ class TestBernoulliLogDensity:
 
             def build(flat):
                 zt = Tensor(flat.reshape(2, 3))
-                return ad.sum_all(ad.bernoulli_log_density(m, ad.sigmoid(zt))), zt
+                return ad.mean_all(ad.bernoulli_log_density(m, ad.sigmoid(zt))), zt
 
             check_grad(build, z0, rtol=1e-5)
 
@@ -207,9 +207,9 @@ class TestReparameterize:
         m = Tensor(np.zeros((2, 3)))
         s = Tensor(np.ones((2, 3)))
         out = ad.reparameterize(m, s, noise)
-        backward(ad.sum_all(out))
-        assert np.array_equal(s.grad, noise)
-        assert np.array_equal(m.grad, np.ones((2, 3)))
+        backward(ad.mean_all(out))  # each entry's upstream gradient is 1/6
+        assert np.array_equal(s.grad, noise * (1.0 / 6))
+        assert np.array_equal(m.grad, np.full((2, 3), 1.0 / 6))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -258,7 +258,7 @@ class TestLogSumExp:
 
         def build(flat):
             t = Tensor(flat.reshape(2, 4))
-            return ad.sum_all(ad.log_sum_exp(t, 1)), t
+            return ad.mean_all(ad.log_sum_exp(t, 1)), t
 
         check_grad(build, v0, rtol=1e-5)
 
@@ -319,7 +319,7 @@ class TestTape:
         def run(layer):
             x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
             out = layer(x, w, b)
-            backward(ad.sum_all(ad.mul_const(out, weights)))
+            backward(ad.mean_all(ad.mul_const(out, weights)))
             return out.value, x.grad, w.grad, b.grad
 
         fused = run(lambda x, w, b: ad.dense(x, w, b, "tanh"))
@@ -331,7 +331,7 @@ class TestTape:
         x = rng.standard_normal((2, 3))
         w = Tensor(rng.standard_normal((3, 2)))
         const, leaf = ad.constant(x), Tensor(x)
-        backward(ad.sum_all(ad.add(ad.matmul(const, w), ad.matmul(leaf, w))))
+        backward(ad.mean_all(ad.add(ad.matmul(const, w), ad.matmul(leaf, w))))
         assert const.grad is None
         assert leaf.grad is not None and w.grad is not None
         assert ad.matmul(const, ad.constant(np.ones((3, 1))))._parents == ()
@@ -342,15 +342,15 @@ class TestTape:
         # which must not write the shared array that b holds
         a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
         s = ad.add(a, b)
-        backward(ad.sum_all(ad.add(s, a)))
-        assert np.array_equal(a.grad, np.full((2, 2), 2.0))
-        assert np.array_equal(b.grad, np.ones((2, 2)))
+        backward(ad.mean_all(ad.add(s, a)))
+        assert np.array_equal(a.grad, np.full((2, 2), 0.5))
+        assert np.array_equal(b.grad, np.full((2, 2), 0.25))
 
     def test_backward_releases_interior_nodes_and_keeps_leaves(self):
         x, w = Tensor(rng.standard_normal((4, 3))), Tensor(rng.standard_normal((3, 2)))
         h = ad.tanh(ad.matmul(x, w))
         lse = ad.log_sum_exp(h, 1)
-        out = ad.sum_all(lse)
+        out = ad.mean_all(lse)
         values = [n.value.copy() for n in (h, lse, out)]
         backward(out)
         for node in (h, h._parents[0], lse, out):
@@ -358,7 +358,7 @@ class TestTape:
         for node, value in zip((h, lse, out), values):
             assert np.array_equal(node.value, value)
         t = np.tanh(x.value @ w.value)
-        g = (1.0 - t * t) * (np.exp(t) / np.exp(t).sum(axis=1, keepdims=True))
+        g = 0.25 * (1.0 - t * t) * (np.exp(t) / np.exp(t).sum(axis=1, keepdims=True))
         assert np.allclose(x.grad, g @ w.value.T) and np.allclose(w.grad, x.value.T @ g)
 
     def test_released_arrays_are_freed(self):
@@ -370,25 +370,25 @@ class TestTape:
         del saved
         grads = []
 
-        def probe_bw(g):  # the gradient sum_all passes in is this node's alone
+        def probe_bw(g):  # the gradient mean_all passes in is this node's alone
             grads.append(weakref.ref(g))
             lse._accumulate(g * 2.0)
 
         probe = Tensor(lse.value * 2.0, (lse,), probe_bw)
-        backward(ad.sum_all(probe))
+        backward(ad.mean_all(probe))
         assert shifted() is None and grads[0]() is None
         assert x.grad is not None
 
     def test_a_graph_is_backpropagated_once(self):
         x = Tensor(rng.standard_normal((2, 3)))
         h = ad.tanh(x)
-        out = ad.sum_all(h)
+        out = ad.mean_all(h)
         backward(out)
         grad = x.grad
         with pytest.raises(DomainError, match="already backpropagated"):
             backward(out)
         with pytest.raises(DomainError, match="already backpropagated"):
-            backward(ad.sum_all(ad.scale(h, 2.0)))
+            backward(ad.mean_all(ad.scale(h, 2.0)))
         assert x.grad is grad
 
     def test_logistic_is_bit_equal_to_the_two_branch_formula(self):
@@ -406,7 +406,7 @@ class TestTape:
         def run(layer):
             x, w, b = Tensor(x0), Tensor(w0), Tensor(b0)
             out = layer(x, w, b)
-            backward(ad.sum_all(ad.mul_const(out, g)))
+            backward(ad.mean_all(ad.mul_const(out, g)))
             return out.value, x.grad, w.grad, b.grad
 
         fused = run(lambda x, w, b: ad.dense(x, w, b, "tanh"))
@@ -424,7 +424,8 @@ class TestTape:
         a, b = Tensor(a0), Tensor(b0)
         out = ad.matmul(a, b)
         assert np.array_equal(_bits(out.value), _bits(a0 @ b0))
-        backward(ad.sum_all(ad.mul_const(out, g)))
+        backward(ad.mean_all(ad.mul_const(out, g)))
+        g = np.full((m, n), 1.0 / (m * n)) * g  # the gradient mean_all and mul_const pass on
         assert np.array_equal(_bits(a.grad), _bits(g @ b0.T))
         assert np.array_equal(_bits(b.grad), _bits(a0.T @ g))
 
@@ -442,7 +443,7 @@ class TestTape:
         def run(head):
             pre = Tensor(pre0)
             out = head(pre)
-            backward(ad.sum_all(ad.mul_const(out, g)))
+            backward(ad.mean_all(ad.mul_const(out, g)))
             return out, pre.grad
 
         (fused, fused_grad), (old, old_grad) = run(ad.std_head), run(old_std_head)
@@ -479,7 +480,7 @@ class TestBranch:
         # the branch node has two consumers, both run before a and prior
         # pass their gradients to x, as the mask term's consumer is in a step
         total = ad.add(ad.mul(ad.add(a, prior), node), node)
-        backward(ad.sum_all(total))
+        backward(ad.mean_all(total))
         return [total.value, x.grad, w0.grad, b0.grad, wa.grad, ba.grad, wm.grad, bm.grad]
 
     def test_gradients_are_bit_equal_to_the_inline_graph(self):
@@ -507,9 +508,9 @@ class TestBranch:
                           or leaf._accumulate(g * 3.0))
 
         with ThreadPoolExecutor(1) as pool:
-            backward(ad.sum_all(ad.branch(fn, x, pool)()))
+            backward(ad.mean_all(ad.branch(fn, x, pool)()))
         assert len(threads) == 2 and threading.get_ident() not in threads
-        assert np.array_equal(x.grad, np.full((2, 2), 3.0))
+        assert np.array_equal(x.grad, np.full((2, 2), 0.75))
 
     @pytest.mark.parametrize("workers", [None, 1])
     def test_the_sub_tape_is_freed_by_its_backward(self, workers):
@@ -524,9 +525,9 @@ class TestBranch:
         with ThreadPoolExecutor(workers) if workers else contextlib.nullcontext() as pool:
             node = ad.branch(fn, x, pool)()
             assert inner[0]() is not None
-            backward(ad.sum_all(node))
+            backward(ad.mean_all(node))
         assert inner[0]() is None
-        assert np.array_equal(x.grad, np.full((2, 2), 2.0 * (1.0 - np.tanh(1.0) ** 2)))
+        assert np.array_equal(x.grad, np.full((2, 2), 0.5 * (1.0 - np.tanh(1.0) ** 2)))
 
     def test_a_constant_input_is_refused(self):
         with pytest.raises(DomainError):

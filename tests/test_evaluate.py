@@ -165,6 +165,16 @@ class TestReportAndRunner:
         with pytest.raises(DomainError, match=f"^data\\.{field}: "):
             evaluate.GaussianDatasetSpec(**{field: value})
 
+    @pytest.mark.parametrize("d, lower", [(2, -1.0), (5, -0.25)])
+    def test_rho_must_keep_the_covariance_positive_definite(self, d, lower):
+        # the equicorrelated covariance's eigenvalues are 1 - rho and 1 + (d - 1) rho
+        for rho in (lower, 1.0):
+            with pytest.raises(DomainError, match=f"^data\\.rho: must lie in \\({lower:g}, 1\\)"):
+                evaluate.GaussianDatasetSpec(d=d, rho=rho)
+        for rho in (lower + 1e-9, 1.0 - 1e-9):
+            spec = evaluate.GaussianDatasetSpec(n=10, d=d, rho=rho)
+            evaluate.draw_dataset(spec, synth.MissingSpec())
+
     def test_mean_imputer_rmse_near_one_on_standardized_mcar(self):
         # imputing ~0 for unit-variance features puts the RMSE near 1
         cfg = core.ModelConfig(iterations=1)  # model unused below

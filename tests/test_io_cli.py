@@ -272,7 +272,25 @@ class TestCli:
     def test_unknown_choice_exits_1_naming_it(self, tmp_path, capsys, argv):
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: unknown ") and repr(argv[-1]) in err
+        key = {"--missing-kind": "missing.kind", "--encoder": "model.encoder",
+               "--structure": "model.structure"}[argv[-2]]
+        assert err.startswith(f"error: {key}: unknown ") and repr(argv[-1]) in err
+
+    @pytest.mark.parametrize("argv, key", [
+        (["train", "--data", "observed.csv", "--latent-dim", "0"], "model.latent_dim"),
+        (["train", "--data", "observed.csv", "--learning-rate", "0"], "model.learning_rate"),
+        (["bench", "--hidden-sizes", "8,0"], "model.hidden_sizes"),
+        (["synth", "--missing-k", "2"], "missing.k"),
+        (["bench", "--missing-mcar-probability", "-0.5"], "missing.mcar_probability"),
+        (["synth", "--rho", "2"], "data.rho"),
+        (["synth", "--d", "5", "--rho", "-0.25"], "data.rho"),
+        (["bench", "--seeds", "1,1", "--methods", "mean", "--n", "50"], "run.seeds")])
+    def test_bad_model_missing_or_range_value_exits_1_naming_the_key(self, tmp_path, capsys,
+                                                                     argv, key):
+        assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not (tmp_path / "o" / "report.csv").exists()
+        assert not (tmp_path / "o" / "config_echo.txt").exists()
 
 
 # a value other than the default for every field of each config section, as text

@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import json
 import math
@@ -650,6 +651,8 @@ class TestTileThreads:
         ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
         ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4)])
     def test_workers_are_the_cpus_over_the_blas_threads(self, monkeypatch, env, workers):
+        # the rule where numpy's OpenBLAS is not loaded, so mnarkit cannot set its count
+        monkeypatch.setattr(core, "_openblas", lambda: None)
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
@@ -827,6 +830,137 @@ class TestTrainFork:
         monkeypatch.setattr(core, "_tile_workers", lambda: workers)
         core.train(data, cfg)
         assert len(masks) == cfg.iterations and alive == [0] * cfg.iterations
+
+
+needs_openblas = pytest.mark.skipif(core._openblas() is None,
+                                    reason="numpy's bundled OpenBLAS is not loaded")
+
+# phase -> (config overrides, the call); train forks with parallel and alpha > 0
+PHASES = {
+    "train-parallel": ({}, lambda data, params, cfg: core.train(data, cfg)),
+    "train-serial": ({"structure": "serial"}, lambda data, params, cfg: core.train(data, cfg)),
+    "train-alpha0": ({"alpha": 0.0}, lambda data, params, cfg: core.train(data, cfg)),
+    "bound": ({}, lambda data, params, cfg: core.bound(data, params, cfg, rng=make_rng(2))),
+    "impute": ({}, lambda data, params, cfg: core.impute(data, params, cfg)),
+    "multiple_impute": ({}, lambda data, params, cfg: core.multiple_impute(data, params, cfg, 2)),
+}
+
+
+@needs_openblas
+class TestBlasThreadPlan:
+    """Each phase sets numpy's OpenBLAS to its own thread count and sets the
+    caller's back: one BLAS thread per tile thread, one for parallel
+    training at alpha > 0, every CPU for serial or alpha = 0 training."""
+
+    @pytest.fixture
+    def blas(self):
+        get, set_ = core._openblas()
+        before = get()
+        yield get, set_
+        set_(before)
+
+    @pytest.mark.parametrize("raises", [False, True])
+    @pytest.mark.parametrize("caller", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("phase", sorted(PHASES))
+    def test_a_phase_runs_at_its_plan_and_sets_back_the_callers_count(
+            self, monkeypatch, blas, phase, cpus, caller, raises):
+        get, set_ = blas
+        overrides, call = PHASES[phase]
+        data, _, _ = toy_dataset(n=20)
+        cfg = small_config(iterations=2, **overrides)
+        params = core.init_params(cfg, 4)
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        during = []
+        decode_data = core.decode_data
+
+        def recording(*args):
+            during.append(get())
+            if raises:
+                raise NumericError("raised inside the plan")
+            return decode_data(*args)
+
+        monkeypatch.setattr(core, "decode_data", recording)
+        set_(caller)
+        with pytest.raises(NumericError) if raises else contextlib.nullcontext():
+            call(data, params, cfg)
+        assert get() == caller
+        plan = cpus if phase in ("train-serial", "train-alpha0") else 1
+        assert during and set(during) == {plan}
+
+    def test_the_tile_threads_are_the_cpus_whatever_the_environment(self, monkeypatch):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        assert core._tile_workers() == 3
+
+    def test_without_the_library_the_count_is_left_alone(self, monkeypatch, blas):
+        get, set_ = blas
+        set_(2)
+        monkeypatch.setattr(core, "_openblas", lambda: None)
+        with core._blas_threads(1):
+            assert get() == 2
+
+    def test_a_nested_entry_sets_back_the_outermost_count(self, blas):
+        get, set_ = blas
+        set_(2)
+        with core._blas_threads(3):
+            with core._blas_threads(1):
+                assert get() == 1
+            assert get() == 3
+        assert get() == 2
+
+    def test_calls_that_leave_out_of_order_set_back_the_first_callers_count(self, blas):
+        # two threads' calls: the first to enter leaves before the second
+        get, set_ = blas
+        set_(2)
+        first, second = core._blas_threads(3), core._blas_threads(1)
+        first.__enter__()
+        second.__enter__()
+        first.__exit__(None, None, None)
+        second.__exit__(None, None, None)
+        assert get() == 2
+
+    def test_many_threads_entering_at_once_set_back_the_callers_count(self, blas):
+        get, set_ = blas
+        set_(2)
+
+        def enter_and_leave(count):
+            for _ in range(200):
+                with core._blas_threads(count):
+                    pass
+
+        threads = [threading.Thread(target=enter_and_leave, args=(1 + i % 3,)) for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert core._blas_held["depth"] == 0 and get() == 2
+
+    @pytest.mark.parametrize("structure", ["parallel", "serial"])
+    def test_outputs_do_not_depend_on_the_callers_count(self, blas, structure):
+        _, set_ = blas
+        # 60 rows x 20 draws: a weight gradient's inner sum that OpenBLAS
+        # blocks differently on one thread and on two
+        data, _, _ = toy_dataset(n=60)
+        cfg = core.ModelConfig(iterations=3, seed=1, l_impute=300, structure=structure)
+        noise = make_rng(4).standard_normal((60 * 3, cfg.latent_dim))
+
+        def outputs(caller):
+            set_(caller)
+            params, trace = core.train(data, cfg)
+            res = core.impute(data, params, cfg)
+            return [params.flatten(), np.array(trace), res.completed, res.prob_mask,
+                    *core.multiple_impute(data, params, cfg, 3),
+                    np.array([core.bound(data, params, cfg, noise=noise)])]
+
+        for got, want in zip(outputs(2), outputs(1)):
+            assert np.array_equal(_bits(got), _bits(want))
 
 
 class _FakeLibc:
@@ -1043,7 +1177,7 @@ class TestCheckpoint:
             data["config_json"] = np.array(json.dumps({**raw, "latent_dim": "1"}))
 
         path = self._edited(tmp_path, stringify)
-        with pytest.raises(ConsistencyError, match=r"model\.npz: config_json: latent_dim"):
+        with pytest.raises(ConsistencyError, match=r"model\.npz: config_json: model\.latent_dim"):
             core.load_checkpoint(path)
 
     def test_format_2_is_refused_by_its_version(self, tmp_path):
