@@ -38,12 +38,11 @@ class RunSpec:
         for seed in self.seeds:
             if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < 2**64:
                 raise DomainError(f"run.seeds: each must be an int in [0, 2**64), got {seed!r}")
-        repeated = [seed for i, seed in enumerate(self.seeds) if seed in self.seeds[:i]]
-        if repeated:
-            raise DomainError(f"run.seeds: seed {repeated[0]} is repeated")
         for method in self.methods:
             if method not in baselines.METHODS:
                 raise DomainError(f"run.methods: unknown method {method!r}")
+        for name in ("seeds", "methods"):
+            evaluate.check_distinct(f"run.{name}", getattr(self, name))
 
 
 # config-file section -> the dataclass whose fields it sets

@@ -141,6 +141,13 @@ class EvalReport:
                 w.writerow(row)
 
 
+def check_distinct(key: str, values) -> None:
+    """Refuse a value that ``values`` holds twice; the DomainError names ``key``."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise DomainError(f"{key}: {value!r} is repeated")
+
+
 def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.MissingSpec,
                    methods, config: core.ModelConfig, n_runs: int = 5,
                    seeds=None) -> EvalReport:
@@ -150,9 +157,13 @@ def run_experiment(dataset_spec: GaussianDatasetSpec, missing_spec: synth.Missin
     Metrics are computed in standardized space; standardization statistics
     come from the complete matrix before masking. A cell that fails with a
     ``MnarkitError`` is recorded as an ``error`` metric row rather than
-    dropped; any other exception is a bug and propagates.
+    dropped; any other exception is a bug and propagates. A seed or method
+    given twice raises DomainError naming ``seeds`` or ``methods``.
     """
     seeds = list(range(n_runs) if seeds is None else seeds)
+    methods = list(methods)
+    check_distinct("seeds", seeds)
+    check_distinct("methods", methods)
     report = EvalReport()
     setting = f"{missing_spec.kind}:k={missing_spec.k}"
     per_method = {m: {"rmse_missing": [], "mse_missing": [], "mask_accuracy": []}

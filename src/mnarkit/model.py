@@ -304,7 +304,7 @@ def _cpus() -> int:
 def _tile_workers() -> int:
     """Threads that score tiles at once. Where numpy's OpenBLAS is loaded,
     one per CPU this process may run on, as mnarkit holds BLAS to one
-    thread while tiles run (see _blas_threads). Elsewhere, the CPUs divided
+    thread in every phase (see _blas_threads). Elsewhere, the CPUs divided
     by the threads each BLAS call takes, read from OPENBLAS_NUM_THREADS,
     else OMP_NUM_THREADS, as OpenBLAS reads them; with neither set to a
     positive int, BLAS already spreads each product over every core, so
@@ -381,12 +381,12 @@ _blas_held = {"depth": 0, "saved": None}
 
 
 @contextlib.contextmanager
-def _blas_threads(count: int):
-    """Run the block with numpy's OpenBLAS on ``count`` threads, then set
-    back the count found on entry, also on error. Calls that nest, or run
-    at once on several threads, share one depth count, and the last to
-    leave sets back the count the first one found. Where numpy's OpenBLAS
-    is not loaded it does nothing."""
+def _blas_threads():
+    """Run the block with numpy's OpenBLAS on one thread, then set back the
+    count found on entry, also on error. Calls that nest, or run at once on
+    several threads, share one depth count, and the last to leave sets back
+    the count the first one found. Where numpy's OpenBLAS is not loaded it
+    does nothing."""
     lib = _openblas()
     if lib is None:
         yield
@@ -397,7 +397,7 @@ def _blas_threads(count: int):
         if _blas_held["depth"] == 0:
             _blas_held["saved"] = found
         _blas_held["depth"] += 1
-        set_(count)
+        set_(1)
     try:
         yield
     finally:
@@ -555,13 +555,6 @@ def _row_bounds(weights: ImportanceWeightSet, k: int) -> Tensor:
     return ad.add_const(ad.log_sum_exp(weights.node, axis=1), -np.log(k))
 
 
-def _bound_node(data: IncompleteMatrix, nodes: dict, config: ModelConfig,
-                noise: np.ndarray, pool=None) -> tuple[Tensor, ImportanceWeightSet]:
-    k = noise.shape[0] // data.shape[0]
-    weights, *_ = _forward_weights(data, nodes, config, k, noise=noise, pool=pool)
-    return ad.mean_all(_row_bounds(weights, k)), weights
-
-
 def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, reduce,
               noise=None, key=None) -> None:
     """One pass without gradients at k latent draws per row: every row is
@@ -592,7 +585,7 @@ def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, 
         chunk = IncompleteMatrix(data.values[rows], data.mask[rows])
         reduce(rows, importance_log_weights(chunk, latent, nodes, config), streams)
 
-    with _blas_threads(1):  # one BLAS thread per tile thread, one tile thread per CPU
+    with _blas_threads():  # one BLAS thread per tile thread, one tile thread per CPU
         mean_z, std_z = encode(data, nodes, config)
         _map_tiles(_row_tiles(data.shape[0], k), tile)
 
@@ -627,24 +620,72 @@ def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
 # training
 
 
+# A training step that does not fork its mask branch splits its batch in two
+# halves, the second on the helper thread, once each half holds at least this
+# many values of the widest hidden layer (half rows x k_train x width). At
+# the default batch, 64 rows x 20 draws a half, widths 128 and 64 split and
+# width 32 does not. Measured on a 2-core Xeon at one BLAS thread, serial and
+# alpha = 0 training at d=4 with the zero-fill encoder, ms/iteration split
+# against whole (medians of 5 alternating 200-step calls): width 32 8.6 and
+# 7.0 against 6.5 and 5.7, slower; width 64 10.7 and 9.6 against 11.5 and
+# 10.7; width 128 14.4 and 14.4 against 18.9 and 20.1.
+SPLIT_FLOOR = 2**16
+
+
+def _train_tile(batch: IncompleteMatrix, noise: np.ndarray, params: ParamBlocks,
+                config: ModelConfig, row_grad: float, it: int, pool=None):
+    """Forward and backward pass of the rows of ``batch``, on parameter
+    leaves of their own, with the gradient ``row_grad`` on each row's bound.
+    Returns the leaves, which hold the gradients, the rows' bounds (rows, 1)
+    and the log-weight components. A bound that is not finite is not
+    backpropagated; a NumericError of the forward pass names the iteration.
+    """
+    nodes = _nodes(params)
+    try:
+        weights, *_ = _forward_weights(batch, nodes, config, config.k_train, noise=noise,
+                                       pool=pool)
+    except NumericError as e:
+        raise NumericError(f"iteration {it}: {e}") from e
+    rows = _row_bounds(weights, config.k_train)
+    if np.all(np.isfinite(rows.value)):
+        backward(ad.sum_axis(ad.scale(rows, row_grad), 0))
+    return nodes, rows.value, weights.components
+
+
+def _sum_gradients(grads: ParamBlocks, tiles: list) -> None:
+    """Write into each block of ``grads`` the sum, in tile order, of the
+    gradients of that block's leaves in ``tiles`` (0 where none has one)."""
+    for name in grads.names:
+        block = grads[name]
+        for i, leaves in enumerate(tiles):
+            g = leaves[name].grad
+            if i == 0:
+                block[...] = 0.0 if g is None else g
+            elif g is not None:
+                block += g
+
+
 def train(dataset: IncompleteMatrix, config: ModelConfig):
     """Fit by Adam on minibatches; returns (params, trace).
 
     trace is a list of (iteration, bound) pairs sampled every
-    ``trace_interval`` iterations. Deterministic given config.seed, and
-    bit-identical whatever _tile_workers() gives and whatever BLAS thread
-    count the caller set: in the parallel structure at alpha > 0, BLAS runs
-    on one thread and, with two or more tile workers, each step's mask
-    branch, forward and backward, on a helper thread (see
-    importance_log_weights and autodiff.branch). Any other configuration
-    runs with BLAS on every CPU (see _blas_threads), so its last bits may
-    depend on the CPU count where OpenBLAS blocks the inner sum of a
-    weight gradient (batch rows x k_train long) differently on one thread
-    and on several. Each
-    step's tape is dropped when the step ends; its memory stays mapped for
-    the next step (see _keep_heap_mapped). A non-finite gradient raises
-    NumericError naming the iteration and the first parameter block, in
-    the order of ``params.names``, whose gradient is not finite.
+    ``trace_interval`` iterations, the bound being the mean of the batch
+    rows' bounds. Every step runs BLAS on one thread (see _blas_threads),
+    and the second CPU, where _tile_workers() gives two or more, serves a
+    helper thread: in the parallel structure at alpha > 0 it runs each
+    step's mask branch, forward and backward (see importance_log_weights
+    and autodiff.branch). Any other step, once half its batch holds
+    SPLIT_FLOOR values of the widest hidden layer, is two halves, each
+    encoded, decoded and backpropagated on parameter leaves of its own, the
+    second on the helper thread (in turn without one); each row's bound
+    gets the gradient -1/rows, and the halves' gradients are added in half
+    order. The result is deterministic given config.seed and bit-identical
+    whatever _tile_workers() gives and whatever BLAS thread count the
+    caller set. Each step's tape is dropped when the step ends; its memory
+    stays mapped for the next step (see _keep_heap_mapped). A non-finite
+    gradient raises NumericError naming the iteration and the first
+    parameter block, in the order of ``params.names``, whose gradient is
+    not finite.
     """
     _keep_heap_mapped()
     rng = make_rng(config.seed)
@@ -656,47 +697,49 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
     trace = []
     order = rng.permutation(n)
     pos = 0
-    # a branched step keeps one BLAS thread on any number of CPUs, so that
-    # its bits do not depend on them; the helper thread starts on first use
-    branched = config.structure == "parallel" and config.alpha != 0.0
-    fork = branched and _tile_workers() > 1
-    with (_blas_threads(1 if branched else _cpus()),
-          ThreadPoolExecutor(1) if fork else contextlib.nullcontext() as pool):
+    take = min(config.batch_size, n)
+    fork = config.structure == "parallel" and config.alpha != 0.0
+    split = not fork and take // 2 * config.k_train * max(config.hidden_sizes) >= SPLIT_FLOOR
+    tiles = [slice(0, take // 2), slice(take // 2, take)] if split else [slice(0, take)]
+    # the helper thread starts on first use
+    helper = (fork or split) and _tile_workers() > 1
+    with _blas_threads(), ThreadPoolExecutor(1) if helper else contextlib.nullcontext() as pool:
         for it in range(config.iterations):
-            take = min(config.batch_size, n)
             if pos + take > n:
                 order = rng.permutation(n)
                 pos = 0
             idx = order[pos:pos + take]
             pos += take
-            batch = IncompleteMatrix(dataset.values[idx], dataset.mask[idx])
             noise = rng.standard_normal((take * config.k_train, config.latent_dim))
-            nodes = _nodes(params)
-            try:
-                bound_node, weights = _bound_node(batch, nodes, config, noise, pool)
-            except NumericError as e:
-                raise NumericError(f"iteration {it}: {e}") from e
-            value = float(bound_node.value[0, 0])
+
+            def step(rows):
+                k = config.k_train
+                batch = IncompleteMatrix(dataset.values[idx[rows]], dataset.mask[idx[rows]])
+                return _train_tile(batch, noise[rows.start * k:rows.stop * k], params, config,
+                                   -1.0 / take, it, pool if fork else None)
+
+            ahead = pool.submit(step, tiles[-1]) if split and pool else None
+            results = [step(rows) for rows in (tiles[:-1] if ahead else tiles)]
+            if ahead:
+                results.append(ahead.result())
+            value = float(np.concatenate([bounds for _, bounds, _ in results]).mean())
             if not np.isfinite(value):
-                stats = {k: (float(v.min()), float(v.max()))
-                         for k, v in weights.components.items()}
+                stats = {k: (min(float(c[k].min()) for _, _, c in results),
+                             max(float(c[k].max()) for _, _, c in results))
+                         for k in results[0][2]}
                 raise NumericError(f"non-finite bound at iteration {it}; "
                                    f"component ranges {stats}")
             if it % config.trace_interval == 0:
                 trace.append((it, value))
-            loss = ad.scale(bound_node, -1.0)
-            backward(loss)
-            for k in params.names:
-                g = nodes[k].grad
-                grads[k][...] = 0.0 if g is None else g
-            # writes the leaves of this step's tape, which nothing reads again
+            _sum_gradients(grads, [leaves for leaves, _, _ in results])
+            # writes the leaves of this step's tapes, which nothing reads again
             try:
                 adam_step(flat, grads.flatten(), state, config.learning_rate)
             except NumericError as e:
                 block = next(k for k in params.names if not np.all(np.isfinite(grads[k])))
                 raise NumericError(f"iteration {it}: {e} in block {block}") from e
-            # free the step's tape before the next step builds its own
-            del nodes, bound_node, weights, loss, batch, noise
+            # free the step's tapes before the next step builds its own
+            del results, ahead, noise
     return params, trace
 
 

@@ -113,10 +113,18 @@ def mixed_mask(x: np.ndarray, features, k_mnar: float, p_mcar: float,
 
 
 def apply_missing(x: np.ndarray, spec: MissingSpec, rng: np.random.Generator) -> np.ndarray:
-    """Build the mask described by a ``MissingSpec`` for a complete matrix."""
+    """Build the mask described by a ``MissingSpec`` for a complete matrix of
+    d features. A feature index outside [0, d), or the star mask at d < 2,
+    raises DomainError naming the ``missing.*`` key and d."""
     x = np.asarray(x, dtype=np.float64)
     n, d = x.shape
     subset = spec.feature_subset or default_feature_subset(d)
+    for j in subset:
+        if not 0 <= j < d:
+            raise DomainError(f"missing.feature_subset: feature index {j} is out of range "
+                              f"[0, {d}) at d = {d}")
+    if spec.kind == "star" and d < 2:
+        raise DomainError(f"missing.kind: star needs at least 2 features, got d = {d}")
     if spec.kind == "mcar":
         return mcar_mask(n, d, spec.k, rng)
     if spec.kind == "self_mask":

@@ -136,11 +136,10 @@ class TestCriterion3AlphaZeroDegeneracy:
             cfg = core.ModelConfig(latent_dim=1, hidden_sizes=(8, 8),
                                    k_train=5, alpha=0.0)
             params = core.init_params(cfg, 4, rng)
-            nodes = core._nodes(params)
             noise = rng.standard_normal((16 * 5, 1))
-            node, weights = core._bound_node(data, nodes, cfg, noise)
-            backward(ad.scale(node, -1.0))
-            ok &= bool(np.all(weights.components["mask"] == 0.0))
+            # one training step's forward and backward over the 16 rows
+            nodes, _, components = core._train_tile(data, noise, params, cfg, -1.0 / 16, 0)
+            ok &= bool(np.all(components["mask"] == 0.0))
             ok &= all(nodes[n].grad is None for n in params.names
                       if n.startswith("dec_m."))
         verdict("3 alpha=0 degeneracy (mask term exactly 0, mask-decoder "

@@ -158,6 +158,15 @@ class TestReportAndRunner:
         with pytest.raises(TypeError):
             self._tiny_run([0])
 
+    @pytest.mark.parametrize("seeds, methods, key", [
+        ([1, 1], ["mean"], "seeds"), ([0, 1], ["mean", "conjunction", "mean"], "methods")])
+    def test_runner_refuses_a_repeated_seed_or_method(self, monkeypatch, seeds, methods, key):
+        monkeypatch.setattr(baselines, "run_method", lambda *args: pytest.fail("a cell ran"))
+        cfg = core.ModelConfig(iterations=1)
+        with pytest.raises(DomainError, match=f"^{key}: "):
+            evaluate.run_experiment(evaluate.GaussianDatasetSpec(n=20), synth.MissingSpec(),
+                                    methods, cfg, seeds=seeds)
+
     @pytest.mark.parametrize("field, value", [
         ("n", 2.5), ("n", 0), ("d", True), ("d", -1), ("rho", "0.7"), ("rho", math.inf),
         ("seed", -1), ("seed", 2**64)])

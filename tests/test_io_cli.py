@@ -284,13 +284,27 @@ class TestCli:
         (["bench", "--missing-mcar-probability", "-0.5"], "missing.mcar_probability"),
         (["synth", "--rho", "2"], "data.rho"),
         (["synth", "--d", "5", "--rho", "-0.25"], "data.rho"),
-        (["bench", "--seeds", "1,1", "--methods", "mean", "--n", "50"], "run.seeds")])
+        (["bench", "--seeds", "1,1", "--methods", "mean", "--n", "50"], "run.seeds"),
+        (["bench", "--seeds", "0", "--methods", "mean,mean", "--n", "50"], "run.methods")])
     def test_bad_model_missing_or_range_value_exits_1_naming_the_key(self, tmp_path, capsys,
                                                                      argv, key):
         assert cli.main([*argv, "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {key}: ")
         assert not (tmp_path / "o" / "report.csv").exists()
         assert not (tmp_path / "o" / "config_echo.txt").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d", "4", "--missing-feature-subset", "7"],
+         "missing.feature_subset: feature index 7 is out of range [0, 4) at d = 4"),
+        (["--d", "4", "--missing-feature-subset=-1"],
+         "missing.feature_subset: feature index -1 is out of range [0, 4) at d = 4"),
+        (["--d", "1", "--missing-kind", "star"],
+         "missing.kind: star needs at least 2 features, got d = 1")])
+    def test_a_mask_the_data_cannot_take_exits_1_naming_the_key_and_d(self, tmp_path, capsys,
+                                                                       argv, message):
+        assert cli.main(["synth", *argv, "--n", "20", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "observed.csv").exists()
 
 
 # a value other than the default for every field of each config section, as text

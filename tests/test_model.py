@@ -734,29 +734,43 @@ class TestRowKeyedDraws:
 
 
 class TestTrainFork:
-    """The parallel mask branch of a training step on a helper thread."""
+    """The parallel mask branch of a training step, or the second half of a
+    step that does not fork, on a helper thread."""
 
-    @pytest.mark.parametrize("name, alpha", [("parallel-d4", 1.0), ("serial-d32", 1.0),
-                                             ("parallel-d4", 0.5), ("parallel-d4", 0.0)])
-    def test_training_does_not_depend_on_the_worker_count(self, monkeypatch, name, alpha):
+    # (name, alpha, hidden width, rows): 60 rows fork or split at width 128;
+    # 128 rows, one default batch, split at width 64
+    @pytest.mark.parametrize("name, alpha, width, n", [
+        ("parallel-d4", 1.0, 128, 60), ("serial-d32", 1.0, 128, 60),
+        ("parallel-d4", 0.5, 128, 60), ("parallel-d4", 0.0, 128, 60),
+        ("serial-d32", 1.0, 64, 128), ("parallel-d4", 0.0, 64, 128)])
+    def test_training_does_not_depend_on_the_worker_count(self, monkeypatch, name, alpha,
+                                                          width, n):
         d, overrides = BENCH_CONFIGS[name]
-        data, _, _ = toy_dataset(n=60, d=d)
-        cfg = core.ModelConfig(iterations=4, seed=1, alpha=alpha, trace_interval=1, **overrides)
+        data, _, _ = toy_dataset(n=n, d=d)
+        cfg = core.ModelConfig(iterations=4, seed=1, alpha=alpha, trace_interval=1,
+                               hidden_sizes=(width, width), **overrides)
+        blas = core._openblas()
+        callers = (1, 2) if blas else (None,)  # the caller's BLAS thread count
 
-        def trained(workers):
+        def trained(workers, caller):
             monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+            if caller:
+                blas[1](caller)
             params, trace = core.train(data, cfg)
             return [params[k] for k in params.names] + [np.array(trace)]
 
-        serial = trained(1)
+        found = blas[0]() if blas else None
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
-            for workers in (2, 5):
-                for got, want in zip(trained(workers), serial):
+            serial = trained(1, callers[0])
+            for workers, caller in itertools.product((1, 2, 5), callers):
+                for got, want in zip(trained(workers, caller), serial):
                     assert np.array_equal(_bits(got), _bits(want))
         finally:
             sys.setswitchinterval(interval)
+            if blas:
+                blas[1](found)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_the_mask_decoder_runs_on_a_helper_thread(self, monkeypatch, workers):
@@ -808,6 +822,66 @@ class TestTrainFork:
         assert info.value is error
 
     @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("overrides", [{"structure": "serial"}, {"alpha": 0.0}])
+    def test_a_step_above_the_floor_runs_its_second_half_on_the_helper_thread(
+            self, monkeypatch, overrides, workers):
+        data, _, _ = toy_dataset(n=128)
+        cfg = core.ModelConfig(iterations=3, hidden_sizes=(64, 64), **overrides)
+        calls = []  # (thread, latent rows) of each data decoder pass
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data", lambda z, *args: calls.append(
+            (threading.get_ident(), z.shape[0])) or decode_data(z, *args))
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        core.train(data, cfg)
+        assert [rows for _, rows in calls] == [64 * cfg.k_train] * 2 * cfg.iterations
+        here = threading.get_ident()
+        helper = [thread for thread, _ in calls if thread != here]
+        assert len(helper) == (cfg.iterations if workers > 1 else 0)
+        assert len(set(helper)) == workers - 1
+
+    @pytest.mark.parametrize("overrides", [{}, {"structure": "serial"}, {"alpha": 0.0}])
+    def test_on_one_cpu_no_pool_is_created(self, monkeypatch, overrides):
+        data, _, _ = toy_dataset(n=128)
+        pools = []
+        executor = core.ThreadPoolExecutor
+        monkeypatch.setattr(core, "ThreadPoolExecutor",
+                            lambda *args: pools.append(args) or executor(*args))
+        monkeypatch.setattr(core, "_cpus", lambda: 1)
+        core.train(data, core.ModelConfig(iterations=2, hidden_sizes=(64, 64), **overrides))
+        assert pools == []
+
+    @pytest.mark.parametrize("width, halves", [(63, 1), (64, 2)])
+    def test_a_batch_below_the_floor_is_one_tile(self, monkeypatch, width, halves):
+        # 64 rows a half x 16 draws x width 64 is the floor itself
+        data, _, _ = toy_dataset(n=128)
+        cfg = core.ModelConfig(iterations=2, k_train=16, hidden_sizes=(width, 8),
+                               structure="serial")
+        assert 64 * 16 * 64 == core.SPLIT_FLOOR
+        rows = []
+        decode_data = core.decode_data
+        monkeypatch.setattr(core, "decode_data",
+                            lambda z, *args: rows.append(z.shape[0]) or decode_data(z, *args))
+        core.train(data, cfg)
+        assert rows == [128 * 16 // halves] * halves * cfg.iterations
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("overrides", [{"structure": "serial"}, {"alpha": 0.0}])
+    def test_a_split_gradient_is_the_batch_gradient(self, monkeypatch, overrides, workers):
+        data, _, _ = toy_dataset(n=127)
+        cfg = core.ModelConfig(iterations=1, hidden_sizes=(64, 64), **overrides)
+        grads = []
+        adam_step = core.adam_step
+        monkeypatch.setattr(core, "adam_step", lambda flat, g, *args: (
+            grads.append(g.copy()) or adam_step(flat, g, *args)))
+        monkeypatch.setattr(core, "_tile_workers", lambda: workers)
+        _, split = core.train(data, cfg)
+        monkeypatch.setattr(core, "SPLIT_FLOOR", math.inf)
+        _, whole = core.train(data, cfg)
+        assert split == whole  # the traced bound: the mean of the same rows' bounds
+        assert np.abs(grads[0] - grads[1]).max() <= 1e-12 * np.abs(grads[1]).max()
+        assert not np.array_equal(grads[0], grads[1])  # two half-batch products
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_a_step_frees_its_mask_branch_before_the_next_forward(self, monkeypatch, workers):
         data, _, _ = toy_dataset(n=40)
         cfg = small_config(iterations=4, batch_size=16)
@@ -848,9 +922,8 @@ PHASES = {
 
 @needs_openblas
 class TestBlasThreadPlan:
-    """Each phase sets numpy's OpenBLAS to its own thread count and sets the
-    caller's back: one BLAS thread per tile thread, one for parallel
-    training at alpha > 0, every CPU for serial or alpha = 0 training."""
+    """Each phase sets numpy's OpenBLAS to one thread and sets the caller's
+    count back."""
 
     @pytest.fixture
     def blas(self):
@@ -885,8 +958,7 @@ class TestBlasThreadPlan:
         with pytest.raises(NumericError) if raises else contextlib.nullcontext():
             call(data, params, cfg)
         assert get() == caller
-        plan = cpus if phase in ("train-serial", "train-alpha0") else 1
-        assert during and set(during) == {plan}
+        assert during and set(during) == {1}
 
     def test_the_tile_threads_are_the_cpus_whatever_the_environment(self, monkeypatch):
         monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 1, 2})
@@ -897,23 +969,23 @@ class TestBlasThreadPlan:
         get, set_ = blas
         set_(2)
         monkeypatch.setattr(core, "_openblas", lambda: None)
-        with core._blas_threads(1):
+        with core._blas_threads():
             assert get() == 2
 
     def test_a_nested_entry_sets_back_the_outermost_count(self, blas):
         get, set_ = blas
         set_(2)
-        with core._blas_threads(3):
-            with core._blas_threads(1):
+        with core._blas_threads():
+            with core._blas_threads():
                 assert get() == 1
-            assert get() == 3
+            assert get() == 1
         assert get() == 2
 
     def test_calls_that_leave_out_of_order_set_back_the_first_callers_count(self, blas):
         # two threads' calls: the first to enter leaves before the second
         get, set_ = blas
         set_(2)
-        first, second = core._blas_threads(3), core._blas_threads(1)
+        first, second = core._blas_threads(), core._blas_threads()
         first.__enter__()
         second.__enter__()
         first.__exit__(None, None, None)
@@ -924,12 +996,12 @@ class TestBlasThreadPlan:
         get, set_ = blas
         set_(2)
 
-        def enter_and_leave(count):
+        def enter_and_leave():
             for _ in range(200):
-                with core._blas_threads(count):
+                with core._blas_threads():
                     pass
 
-        threads = [threading.Thread(target=enter_and_leave, args=(1 + i % 3,)) for i in range(6)]
+        threads = [threading.Thread(target=enter_and_leave) for _ in range(6)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as possible
         try:
@@ -945,8 +1017,9 @@ class TestBlasThreadPlan:
     @pytest.mark.parametrize("structure", ["parallel", "serial"])
     def test_outputs_do_not_depend_on_the_callers_count(self, blas, structure):
         _, set_ = blas
-        # 60 rows x 20 draws: a weight gradient's inner sum that OpenBLAS
-        # blocks differently on one thread and on two
+        # 60 rows x 20 draws, in two halves of 600 in serial training: weight
+        # gradients' inner sums that OpenBLAS blocks differently on one
+        # thread and on two
         data, _, _ = toy_dataset(n=60)
         cfg = core.ModelConfig(iterations=3, seed=1, l_impute=300, structure=structure)
         noise = make_rng(4).standard_normal((60 * 3, cfg.latent_dim))

@@ -134,6 +134,17 @@ class TestSpec:
         assert default_feature_subset(4) == (0, 1)
         assert default_feature_subset(5) == (0, 1, 2)
 
+    @pytest.mark.parametrize("spec, match", [
+        (MissingSpec(feature_subset=(0, 4)),
+         r"^missing\.feature_subset: feature index 4 .* d = 4$"),
+        (MissingSpec(kind="mixed", feature_subset=(-1,)),
+         r"^missing\.feature_subset: feature index -1 .* d = 4$"),
+        (MissingSpec(kind="star"), r"^missing\.kind: star needs at least 2 features, got d = 1$")])
+    def test_apply_missing_names_the_key_and_d(self, spec, match):
+        d = 1 if spec.kind == "star" else 4
+        with pytest.raises(DomainError, match=match):
+            apply_missing(np.zeros((5, d)), spec, make_rng(0))
+
     def test_apply_missing_dispatch(self):
         x = gaussian_synth(200, 4, np.zeros(4), np.eye(4), make_rng(23))
         for kind in ("mcar", "self_mask", "star", "mixed"):
