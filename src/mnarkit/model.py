@@ -477,17 +477,28 @@ class ImportanceWeightSet:
                             # alpha=0 and where a training pass forks the mask branch
 
 
-def _normalize_rows(log_w: np.ndarray) -> np.ndarray:
+def _row_fault(what: str, bad: np.ndarray, row_ids=None) -> NumericError:
+    """A NumericError naming ``what`` and the first rows flagged in ``bad``
+    (n,), numbered by ``row_ids`` (default 0..n-1)."""
+    at = np.flatnonzero(bad)
+    ids = (at if row_ids is None else np.asarray(row_ids)[at])[:5].tolist()
+    more = f" and {at.size - len(ids)} more" if at.size > len(ids) else ""
+    return NumericError(f"{what} at rows {ids}{more}")
+
+
+def _normalize_rows(log_w: np.ndarray, row_ids=None) -> np.ndarray:
     m = log_w.max(axis=1, keepdims=True)
     w = np.exp(log_w - m)
     total = w.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(total)) or np.any(total <= 0):
-        raise NumericError("importance weights degenerate (all underflowed)")
+    ok = np.isfinite(total) & (total > 0)
+    if not ok.all():
+        raise _row_fault("importance weights degenerate (their sum is not finite and positive)",
+                         ~ok.ravel(), row_ids)
     return w / total
 
 
 def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: dict,
-                           config: ModelConfig, pool=None) -> ImportanceWeightSet:
+                           config: ModelConfig, pool=None, row_ids=None) -> ImportanceWeightSet:
     """log w = observed-data term + alpha * mask term + prior - posterior.
 
     The data term sums Gaussian log-densities over observed entries only;
@@ -496,6 +507,9 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: d
     A pass over constants records no tape. In a pass with gradients, the
     parallel mask decoder and its term run as an autodiff branch on
     ``pool`` (inline with None) while this thread runs the data decoder.
+    A component that is not finite raises NumericError naming it and the
+    first rows where it is not, numbered by ``row_ids``, the dataset's
+    numbers of data's rows (default 0..n-1).
     """
     n, k = data.shape[0], latent.k
     z, x, mask = latent.z, np.repeat(zero_impute(data), k, 0), np.repeat(data.mask, k, 0)
@@ -532,21 +546,22 @@ def importance_log_weights(data: IncompleteMatrix, latent: LatentBatch, nodes: d
     log_w = node.value
     for name, comp in components.items():
         if not np.all(np.isfinite(comp)):
-            raise NumericError(f"non-finite importance-weight component: {name}")
-    return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w),
+            raise _row_fault(f"non-finite importance-weight component: {name}",
+                             ~np.isfinite(comp).all(axis=1), row_ids)
+    return ImportanceWeightSet(log_w=log_w, normalized=_normalize_rows(log_w, row_ids),
                                components=components, node=node,
                                decoded=tuple(None if t is None else t.value.reshape(n, k, -1)
                                              for t in (mean_x, std_x, p_m)))
 
 
 def _forward_weights(chunk: IncompleteMatrix, nodes: dict, config: ModelConfig,
-                     l_samples: int, rng=None, noise=None, pool=None):
+                     l_samples: int, rng=None, noise=None, pool=None, row_ids=None):
     """One pass over the rows of chunk at l_samples latent draws each, taken
     from ``noise`` or else from rng: the weights and the decoder outputs
     mean_x, std_x and p_m (see ImportanceWeightSet.decoded)."""
     mean_z, std_z = encode(chunk, nodes, config)
     latent = sample_latent(mean_z, std_z, l_samples, noise=noise, rng=rng)
-    weights = importance_log_weights(chunk, latent, nodes, config, pool)
+    weights = importance_log_weights(chunk, latent, nodes, config, pool, row_ids)
     return (weights, *weights.decoded)
 
 
@@ -583,7 +598,8 @@ def _row_pass(data: IncompleteMatrix, nodes: dict, config: ModelConfig, k: int, 
         latent = sample_latent(ad.constant(mean_z.value[rows]), ad.constant(std_z.value[rows]),
                                k, noise=draws)
         chunk = IncompleteMatrix(data.values[rows], data.mask[rows])
-        reduce(rows, importance_log_weights(chunk, latent, nodes, config), streams)
+        reduce(rows, importance_log_weights(chunk, latent, nodes, config,
+                                            row_ids=range(rows.start, rows.stop)), streams)
 
     with _blas_threads():  # one BLAS thread per tile thread, one tile thread per CPU
         mean_z, std_z = encode(data, nodes, config)
@@ -628,22 +644,27 @@ def bound(data: IncompleteMatrix, params: ParamBlocks, config: ModelConfig,
 # alpha = 0 training at d=4 with the zero-fill encoder, ms/iteration split
 # against whole (medians of 5 alternating 200-step calls): width 32 8.6 and
 # 7.0 against 6.5 and 5.7, slower; width 64 10.7 and 9.6 against 11.5 and
-# 10.7; width 128 14.4 and 14.4 against 18.9 and 20.1.
+# 10.7; width 128 14.4 and 14.4 against 18.9 and 20.1. The floor does not
+# count d: at d=32 with the set encoder, width 32 ran faster split in serial
+# training (10 of 10 alternations, medians 7.8-8.2 against 9.3-10.3) but not
+# at alpha = 0 (3 of 10, medians 6.7-7.0 against 6.1-7.6).
 SPLIT_FLOOR = 2**16
 
 
 def _train_tile(batch: IncompleteMatrix, noise: np.ndarray, params: ParamBlocks,
-                config: ModelConfig, row_grad: float, it: int, pool=None):
+                config: ModelConfig, row_grad: float, it: int, pool=None, row_ids=None):
     """Forward and backward pass of the rows of ``batch``, on parameter
     leaves of their own, with the gradient ``row_grad`` on each row's bound.
     Returns the leaves, which hold the gradients, the rows' bounds (rows, 1)
     and the log-weight components. A bound that is not finite is not
-    backpropagated; a NumericError of the forward pass names the iteration.
+    backpropagated; a NumericError of the forward pass names the iteration
+    and the rows at fault, numbered by ``row_ids`` (see
+    importance_log_weights).
     """
     nodes = _nodes(params)
     try:
         weights, *_ = _forward_weights(batch, nodes, config, config.k_train, noise=noise,
-                                       pool=pool)
+                                       pool=pool, row_ids=row_ids)
     except NumericError as e:
         raise NumericError(f"iteration {it}: {e}") from e
     rows = _row_bounds(weights, config.k_train)
@@ -716,7 +737,7 @@ def train(dataset: IncompleteMatrix, config: ModelConfig):
                 k = config.k_train
                 batch = IncompleteMatrix(dataset.values[idx[rows]], dataset.mask[idx[rows]])
                 return _train_tile(batch, noise[rows.start * k:rows.stop * k], params, config,
-                                   -1.0 / take, it, pool if fork else None)
+                                   -1.0 / take, it, pool if fork else None, idx[rows])
 
             ahead = pool.submit(step, tiles[-1]) if split and pool else None
             results = [step(rows) for rows in (tiles[:-1] if ahead else tiles)]

@@ -393,10 +393,41 @@ class TestTape:
 
     def test_logistic_is_bit_equal_to_the_two_branch_formula(self):
         x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 800.0, -800.0,
-                      *np.linspace(-40.0, 40.0, 801)])
+                      np.inf, -np.inf, np.nan, *np.linspace(-40.0, 40.0, 801)])
         with np.errstate(over="ignore", invalid="ignore"):
             want = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
-        assert np.array_equal(_bits(ad._logistic(x)), _bits(want))
+        got = ad._logistic(x)
+        nan = np.isnan(x)  # the formula's nan has the other sign bit
+        assert np.array_equal(_bits(got[~nan]), _bits(want[~nan])) and np.isnan(got[nan]).all()
+        # and the np.where numerator it replaced, bit for bit, nan included
+        e = np.exp(-np.abs(x))
+        assert np.array_equal(_bits(got), _bits(np.where(x >= 0, 1.0, e) / (1.0 + e)))
+
+    # np.logaddexp runs the C library's scalar exp and log1p, within 1 ULP of
+    # the rounded exact value; _softplus runs numpy's vectorized ones, which
+    # on AVX-512 builds put it within 2 ULP, so the two are within 3
+    @pytest.mark.parametrize("points", ["normal", "uniform", "grid"])
+    def test_softplus_is_within_2_ulp_of_the_rounded_value(self, points):
+        draw = np.random.default_rng(19)
+        x = {"normal": lambda: draw.normal(0.0, 4.0, 200_000),
+             "uniform": lambda: draw.uniform(-750.0, 750.0, 200_000),
+             "grid": lambda: np.linspace(-40.0, 40.0, 80_001)}[points]()
+        got = ad._softplus(x)
+        assert np.all(got >= 0.0)  # so the bits order the values
+
+        def ulps(want):
+            return np.abs(_bits(got).astype(np.int64) - _bits(want).astype(np.int64)).max()
+
+        assert ulps(np.logaddexp(0.0, x)) <= 3
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:  # x86-64's 80-bit format
+            wide = x.astype(np.longdouble)
+            exact = np.maximum(wide, 0.0) + np.log1p(np.exp(-np.abs(wide)))
+            assert ulps(exact.astype(np.float64)) <= 2
+
+    def test_softplus_is_exact_at_its_edges(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 36.7, -36.7])
+        assert np.array_equal(_bits(ad._softplus(x)), _bits(np.logaddexp(0.0, x)))
+        assert np.isnan(ad._softplus(np.array([np.nan]))).all()
 
     def test_tanh_gradient_is_bit_equal_at_saturation(self):
         x0 = np.array([[0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 19.0, -19.0, 40.0, -800.0]]).T
@@ -579,13 +610,16 @@ class TestAdam:
         p = rng.standard_normal(64)
         want, m, v, t = p.copy(), np.zeros(64), np.zeros(64), 0
         state = AdamState.for_size(64)
-        for _ in range(6):
+        moments = state.m, state.v
+        for _ in range(20):
             g = rng.standard_normal(64) * 10.0 ** rng.uniform(-8, 4, 64)
             adam_step(p, g, state, 0.003)
             want, m, v, t = functional_adam(want, g, m, v, t, 0.003)
             assert np.array_equal(p.view(np.int64), want.view(np.int64))
+            assert np.array_equal(_bits(state.m), _bits(m))
+            assert np.array_equal(_bits(state.v), _bits(v))
         assert state.t == t
-        assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+        assert state.m is moments[0] and state.v is moments[1]  # updated in place
 
     def test_a_refused_step_writes_nothing(self):
         p, state = rng.standard_normal(3), AdamState.for_size(3)

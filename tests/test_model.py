@@ -36,6 +36,15 @@ def toy_dataset(n=48, d=4, seed=0, k=0.8):
     return compose_observed(x, mask), x, mask
 
 
+def poisoned_dataset(n, row):
+    """toy_dataset with an observed value at ``row`` whose Gaussian
+    log-density overflows to -inf."""
+    data, _, _ = toy_dataset(n=n)
+    values = data.values.copy()
+    values[row, 3] = 1e200  # feature 3 is always observed
+    return IncompleteMatrix(values, data.mask)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [
         ("hidden_sizes", ()), ("hidden_sizes", (8, 0)), ("trace_interval", 0),
@@ -245,6 +254,14 @@ class TestImportanceWeights:
             if name.startswith("dec_m."):
                 assert nodes[name].grad is None
 
+    def test_degenerate_weights_name_their_first_rows(self):
+        log_w = np.zeros((9, 2))
+        log_w[[1, 2, 3, 5, 6, 7, 8], 0] = np.inf
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match=r"^importance weights degenerate .* at rows "
+                                                  r"\[11, 12, 13, 15, 16\] and 2 more$"):
+            core._normalize_rows(log_w, range(10, 19))
+
     def test_normalized_weights_rows_sum_to_one(self):
         w = self._weights(self.cfg)
         assert np.all(np.abs(w.normalized.sum(axis=1) - 1.0) < 1e-8)
@@ -377,8 +394,33 @@ class TestTrain:
                                                "in block dec_x.bstd$"):
             core.train(data, small_config(iterations=5))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("width, n", [(8, 40), (64, 128)])  # one batch tile, two halves
+    def test_a_non_finite_component_names_the_iteration_and_the_dataset_rows(self, width, n):
+        data = poisoned_dataset(n, row=29)
+        cfg = small_config(hidden_sizes=(width, width), k_train=20, batch_size=n)
+        with pytest.raises(NumericError, match=r"^iteration 0: non-finite importance-weight "
+                                               r"component: data at rows \[29\]$"):
+            core.train(data, cfg)
+
 
 class TestImpute:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("call", ["impute", "multiple_impute", "bound"])
+    def test_a_non_finite_component_names_its_rows_in_the_dataset(self, monkeypatch, call):
+        # row 29 is row 1 of its 4-row imputation tile and row 9 of its
+        # 20-row bound tile
+        data = poisoned_dataset(40, row=29)
+        cfg = small_config()
+        params = core.init_params(cfg, 4)
+        monkeypatch.setattr(core, "TILE_ROWS", 64)
+        run = {"impute": lambda: core.impute(data, params, cfg),
+               "multiple_impute": lambda: core.multiple_impute(data, params, cfg, 2),
+               "bound": lambda: core.bound(data, params, cfg, rng=make_rng(1))}[call]
+        with pytest.raises(NumericError, match=r"^non-finite importance-weight component: "
+                                               r"data at rows \[29\]$"):
+            run()
+
     def test_observed_entries_bit_exact(self):
         data, x, mask = toy_dataset(n=30)
         cfg = small_config(iterations=20)
@@ -412,7 +454,7 @@ class TestImpute:
         cfg = small_config(l_impute=2)
         params = core.init_params(cfg, 1)
 
-        def fake_weights(chunk, latent, nodes, config, pool=None):
+        def fake_weights(chunk, latent, nodes, config, pool=None, row_ids=None):
             mean_x = np.array([[[0.0], [4.0]]])
             std_x = np.ones((1, 2, 1))
             p_m = np.full((1, 2, 1), 0.5)
